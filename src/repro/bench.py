@@ -106,6 +106,7 @@ def bench_fit(
     from repro.core.posterior import compute_posterior
     from repro.core.prior import CorrelatedPrior, ar1_correlation
     from repro.paper import SCALES, load_or_simulate
+    from repro.utils.parallel import one_blas_thread
 
     scale = SCALES[scale_name]
     pool, _ = load_or_simulate("lna", scale, seed)
@@ -132,12 +133,14 @@ def bench_fit(
         lambdas=np.full(basis.n_basis, 0.5),
         correlation=ar1_correlation(len(designs), 0.8),
     )
-    posterior_median = _median_seconds(
-        lambda: compute_posterior(
-            designs, targets, prior, 0.01, want_blocks=True
-        ),
-        max(repeats, 5),
-    )
+    # Timed on one BLAS thread, the way every fit runs the same call.
+    with one_blas_thread():
+        posterior_median = _median_seconds(
+            lambda: compute_posterior(
+                designs, targets, prior, 0.01, want_blocks=True
+            ),
+            max(repeats, 5),
+        )
 
     report = fits[-1]
     return {

@@ -28,6 +28,7 @@ from repro.core.prior import CorrelatedPrior
 from repro.core.predictive import PosteriorPredictor
 from repro.core.results import FitReport
 from repro.core.somp_init import InitConfig, somp_initialize
+from repro.utils.parallel import one_blas_thread
 from repro.utils.rng import SeedLike
 
 __all__ = ["CBMF"]
@@ -123,11 +124,18 @@ class CBMF(MultiStateRegressor):
         self._predictor: Optional[PosteriorPredictor] = None
 
     # ------------------------------------------------------------------
+    @one_blas_thread()
     def fit(
         self,
         designs: Sequence[np.ndarray],
         targets: Sequence[np.ndarray],
     ) -> "CBMF":
+        """Fit on per-state designs and targets (Algorithm 1).
+
+        The whole fit runs on one BLAS thread (see
+        :func:`repro.utils.parallel.one_blas_thread`); the thread counts
+        in force before the call are restored when it returns or raises.
+        """
         designs, targets = validate_multistate(designs, targets)
         n_states = len(designs)
 

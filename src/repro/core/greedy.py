@@ -15,6 +15,11 @@ Two solver flavours are accepted:
   solver can fold it in with a low-rank Woodbury/Cholesky update in
   O(n²K) instead of refactorizing in O(n³) at every greedy step — see
   :class:`repro.core.somp_init.IncrementalBayesSolver`.
+
+The scan runs on :class:`~repro.core.multistate.MultiStateData`, which
+picks the arithmetic: on state-balanced data (one design shared by every
+state) the correlations and residuals of a step are one GEMM each on the
+shared design; otherwise one product per state.
 """
 
 from __future__ import annotations
@@ -23,7 +28,7 @@ from typing import Callable, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
-from repro.core.base import validate_multistate
+from repro.core.multistate import MultiStateData
 
 __all__ = [
     "select_shared_support",
@@ -43,10 +48,12 @@ class IncrementalSolver:
 
     def begin(
         self,
-        designs: Sequence[np.ndarray],
+        designs: MultiStateData,
         targets: Sequence[np.ndarray],
     ) -> None:
-        """Reset internal state for a fresh scan over ``designs``."""
+        """Reset internal state for a fresh scan over ``designs`` (the
+        scan's :class:`MultiStateData`; ``targets`` are its per-state
+        target views)."""
         raise NotImplementedError
 
     def extend(self, index: int) -> np.ndarray:
@@ -55,8 +62,8 @@ class IncrementalSolver:
 
 
 def select_shared_support(
-    designs: Sequence[np.ndarray],
-    targets: Sequence[np.ndarray],
+    designs: Union[Sequence[np.ndarray], MultiStateData],
+    targets: Optional[Sequence[np.ndarray]],
     n_select: int,
     solver: Union[CoefficientSolver, IncrementalSolver],
     on_step: Optional[Callable[[List[int], np.ndarray], None]] = None,
@@ -67,7 +74,9 @@ def select_shared_support(
     Parameters
     ----------
     designs, targets:
-        Per-state design matrices and target vectors.
+        Per-state design matrices and target vectors — or a prepared
+        :class:`MultiStateData` as ``designs`` (``targets`` is then
+        ignored), which skips re-validation and re-stacking.
     n_select:
         Number of basis functions θ to pick.
     solver:
@@ -93,12 +102,16 @@ def select_shared_support(
         Selected basis indices (in selection order) and the final (θ, K)
         coefficient matrix.
     """
-    designs, targets = validate_multistate(designs, targets)
     if aggregate not in ("l1", "l2"):
         raise ValueError(
             f"aggregate must be 'l1' or 'l2', got {aggregate!r}"
         )
-    n_basis = designs[0].shape[1]
+    data = (
+        designs
+        if isinstance(designs, MultiStateData)
+        else MultiStateData.from_states(designs, targets)
+    )
+    n_states, n_basis = data.n_states, data.n_basis
     if not 0 < n_select <= n_basis:
         raise ValueError(
             f"n_select must be in 1..{n_basis}, got {n_select}"
@@ -106,36 +119,37 @@ def select_shared_support(
 
     incremental = hasattr(solver, "begin") and hasattr(solver, "extend")
     if incremental:
-        solver.begin(designs, targets)
+        solver.begin(data, data.targets)
 
     support: List[int] = []
-    residuals = [target.copy() for target in targets]
-    coefficients = np.zeros((0, len(designs)))
+    residual = data.y
+    coefficients = np.zeros((0, n_states))
     for _ in range(n_select):
-        # ξ_{k,m} = b_{k,m}ᵀ Res_k, aggregated over states (eq. 33).
-        score = np.zeros(n_basis)
-        for design, residual in zip(designs, residuals):
-            xi = design.T @ residual
-            score += np.abs(xi) if aggregate == "l1" else xi * xi
+        # ξ_{k,m} = b_{k,m}ᵀ Res_k, aggregated over states (eq. 33); the
+        # axis-0 sum adds the states in order.
+        xi = data.correlate(residual)  # (K, M)
+        if aggregate == "l1":
+            score = np.abs(xi, out=xi).sum(axis=0)
+        else:
+            score = np.square(xi, out=xi).sum(axis=0)
         score[support] = -np.inf
         chosen = int(np.argmax(score))
         support.append(chosen)
 
-        sub_designs = [design[:, support] for design in designs]
         if incremental:
             coefficients = solver.extend(chosen)
         else:
-            coefficients = solver(sub_designs, targets)
-        if coefficients.shape != (len(support), len(designs)):
+            coefficients = solver(
+                [design[:, support] for design in data.designs],
+                data.targets,
+            )
+        if coefficients.shape != (len(support), n_states):
             raise AssertionError(
                 f"solver returned shape {coefficients.shape}, expected "
-                f"{(len(support), len(designs))}"
+                f"{(len(support), n_states)}"
             )
         # Res_k = y_k − B_k(Θ)·α_k (eq. 34).
-        residuals = [
-            target - sub @ coefficients[:, k]
-            for k, (sub, target) in enumerate(zip(sub_designs, targets))
-        ]
+        residual = data.y - data.predict_rows(coefficients, support)
         if on_step is not None:
             on_step(list(support), coefficients)
     return support, coefficients

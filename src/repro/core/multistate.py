@@ -216,9 +216,69 @@ class MultiStateData:
         """
         return np.add.reduceat(values, self.row_starts, axis=0)
 
-    def predict_rows(self, mean: np.ndarray) -> np.ndarray:
-        """Row-wise prediction ``Φ[i] · mean[:, s_i]`` for an (M, K) mean."""
+    def predict_rows(
+        self, mean: np.ndarray, columns: Optional[Sequence[int]] = None
+    ) -> np.ndarray:
+        """Row-wise prediction ``Φ[i, columns] · mean[:, s_i]``.
+
+        ``mean`` is (M, K), or (len(columns), K) on a column subset.
+        Balanced data takes one GEMM on the shared design; otherwise one
+        product per state.
+        """
+        if self.state_balanced:
+            design = self.shared_design
+            if columns is not None:
+                design = design[:, columns]
+            return (mean.T @ design.T).reshape(-1)
+        phi = self.phi if columns is None else self.phi[:, columns]
         prediction = np.empty(self.n_rows)
         for k, sl in enumerate(self.state_slices):
-            prediction[sl] = self.phi[sl] @ mean[:, k]
+            prediction[sl] = phi[sl] @ mean[:, k]
         return prediction
+
+    def correlate(self, values: np.ndarray) -> np.ndarray:
+        """Per-state correlations ``ξ[k] = Φ_kᵀ · values[rows of k]``.
+
+        ``values`` is row-stacked like ``y``; returns shape (K, M).
+        Balanced data takes one GEMM on the shared design; otherwise one
+        product per state.
+        """
+        if self.state_balanced:
+            return values.reshape(self.n_states, -1) @ self.shared_design
+        return np.stack(
+            [self.phi[sl].T @ values[sl] for sl in self.state_slices]
+        )
+
+    def split(
+        self, test_rows: Sequence[np.ndarray]
+    ) -> Tuple["MultiStateData", "MultiStateData"]:
+        """``(train, test)`` companions holding out ``test_rows[k]`` of
+        each state k (indices local to the state, kept in given order).
+
+        When balanced data holds out the same rows of every state, both
+        halves are balanced by construction and never re-checked.
+        """
+        train_designs, train_targets = [], []
+        test_designs, test_targets = [], []
+        for sl, rows in zip(self.state_slices, test_rows):
+            design, target = self.phi[sl], self.y[sl]
+            mask = np.ones(design.shape[0], dtype=bool)
+            mask[rows] = False
+            train_designs.append(design[mask])
+            train_targets.append(target[mask])
+            test_designs.append(design[rows])
+            test_targets.append(target[rows])
+        train = MultiStateData.from_states(
+            train_designs, train_targets, validate=False
+        )
+        test = MultiStateData.from_states(
+            test_designs, test_targets, validate=False
+        )
+        first = test_rows[0]
+        shared = all(
+            rows is first or np.array_equal(rows, first)
+            for rows in test_rows[1:]
+        )
+        if shared and self.state_balanced:
+            train._balanced = test._balanced = True
+        return train, test

@@ -228,7 +228,7 @@ class KroneckerBayesSolver:
         """Rotate the targets into R's eigenbasis; reset the support.
 
         Raises :class:`ValueError` when the states do not share one
-        design matrix — callers gate on balance (``_make_solver``).
+        design matrix — callers gate on balance (``_kron_greedy``).
         """
         data = (
             designs
@@ -276,31 +276,21 @@ class KroneckerBayesSolver:
         return posterior.mean
 
 
-def _balanced_designs(designs: Sequence[np.ndarray]) -> bool:
-    """True when every state carries the identical design matrix."""
-    first = designs[0]
-    for other in designs[1:]:
-        if other.shape != first.shape or not np.array_equal(other, first):
-            return False
-    return True
+def _kron_greedy(data: MultiStateData) -> bool:
+    """Does this fit's greedy scan take the Kronecker solver?
 
-
-def _make_solver(r0: float, sigma0: float, designs: Sequence[np.ndarray]):
-    """Greedy coefficient solver for this (train) split.
-
-    State-balanced data with enough states takes the Kronecker solver —
-    same policy switches as the posterior: ``REPRO_POSTERIOR_SOLVER=dual``
-    forces the Woodbury solver everywhere, ``kron`` forces the Kronecker
-    solver whenever the data is balanced.
+    Decided once per fit on the full data, by the same policy switches
+    as the posterior: ``REPRO_POSTERIOR_SOLVER=dual`` forces the Woodbury
+    solver everywhere, ``kron`` forces the Kronecker solver whenever the
+    data is balanced. The CV folds of such data share one permutation,
+    so every train split stays balanced by construction.
     """
     mode = resolve_solver_mode()
-    if (
+    return (
         mode != "dual"
-        and (mode == "kron" or len(designs) >= KRON_MIN_STATES)
-        and _balanced_designs(designs)
-    ):
-        return KroneckerBayesSolver(r0, sigma0)
-    return IncrementalBayesSolver(r0, sigma0)
+        and (mode == "kron" or data.n_states >= KRON_MIN_STATES)
+        and data.state_balanced
+    )
 
 
 def _fold_indices(
@@ -311,20 +301,18 @@ def _fold_indices(
     return [fold for fold in np.array_split(permutation, n_folds)]
 
 
-def _relative_rms(
-    predictions: Sequence[np.ndarray], truths: Sequence[np.ndarray]
-) -> float:
+def _relative_rms(prediction: np.ndarray, truth: np.ndarray) -> float:
     """RMS prediction error normalized by the RMS target magnitude.
 
     Degenerate folds with identically-zero targets (e.g. constant
     performances after standardization) fall back to the absolute RMS so
     cross-validation still ranks candidates instead of crashing.
     """
-    num = sum(float(np.sum((p - t) ** 2)) for p, t in zip(predictions, truths))
-    den = sum(float(np.sum(t**2)) for t in truths)
-    count = sum(t.size for t in truths)
+    error = prediction - truth
+    num = float(error @ error)
+    den = float(truth @ truth)
     if den <= 0.0:
-        return float(np.sqrt(num / max(count, 1)))
+        return float(np.sqrt(num / max(truth.size, 1)))
     return float(np.sqrt(num / den))
 
 
@@ -338,34 +326,22 @@ def _score_cv_cell(
     inline or in a spawned worker.
     """
     fold, r0, sigma0 = cell
-    train_designs, train_targets, test_designs, test_targets = (
-        payload["folds"][fold]
-    )
+    train, test = payload["folds"][fold]
     theta_set = payload["theta_set"]
-    n_states = len(train_designs)
-
-    records: Dict[int, Tuple[List[int], np.ndarray]] = {}
+    scores: List[Tuple[int, float]] = []
 
     def record(support: List[int], coefficients: np.ndarray) -> None:
         if len(support) in theta_set:
-            records[len(support)] = (list(support), coefficients.copy())
+            prediction = test.predict_rows(coefficients, support)
+            scores.append((len(support), _relative_rms(prediction, test.y)))
 
     select_shared_support(
-        train_designs,
-        train_targets,
+        train,
+        None,
         payload["theta_max"],
-        _make_solver(r0, sigma0, train_designs),
+        payload["solver"](r0, sigma0),
         on_step=record,
     )
-    scores: List[Tuple[int, float]] = []
-    for theta, (support, coefficients) in sorted(records.items()):
-        predictions = [
-            test_designs[k][:, support] @ coefficients[:, k]
-            for k in range(n_states)
-        ]
-        scores.append(
-            (theta, _relative_rms(predictions, test_targets))
-        )
     return scores
 
 
@@ -399,12 +375,10 @@ def somp_initialize(
     # train/test splits then stay state-balanced (so the CV cells keep
     # Kronecker-solver eligibility) and a shared Monte-Carlo draw never
     # lands in the train rows of one state and the test rows of another.
-    mode = resolve_solver_mode()
-    if (
-        mode != "dual"
-        and (mode == "kron" or n_states >= KRON_MIN_STATES)
-        and _balanced_designs(designs)
-    ):
+    data = MultiStateData.from_states(designs, targets, validate=False)
+    kron = _kron_greedy(data)
+    solver = KroneckerBayesSolver if kron else IncrementalBayesSolver
+    if kron:
         shared_folds = _fold_indices(
             designs[0].shape[0], config.n_folds, rng
         )
@@ -416,21 +390,10 @@ def somp_initialize(
 
     # Per-fold train/test splits, derived once and shared by every
     # (r0, σ0) candidate of that fold.
-    folds = []
-    for fold in range(config.n_folds):
-        train_designs, train_targets = [], []
-        test_designs, test_targets = [], []
-        for k in range(n_states):
-            test_idx = folds_per_state[k][fold]
-            mask = np.ones(designs[k].shape[0], dtype=bool)
-            mask[test_idx] = False
-            train_designs.append(designs[k][mask])
-            train_targets.append(targets[k][mask])
-            test_designs.append(designs[k][test_idx])
-            test_targets.append(targets[k][test_idx])
-        folds.append(
-            (train_designs, train_targets, test_designs, test_targets)
-        )
+    folds = [
+        data.split([per_state[fold] for per_state in folds_per_state])
+        for fold in range(config.n_folds)
+    ]
 
     # Note the Bayesian solve stays well-posed for supports larger than
     # the per-state sample count (the prior regularizes), so θ is only
@@ -446,6 +409,7 @@ def somp_initialize(
         "folds": folds,
         "theta_set": frozenset(theta_grid),
         "theta_max": theta_max,
+        "solver": solver,
     }
     cell_scores = parallel_map(
         _score_cv_cell, cells, shared=payload, max_workers=max_workers
@@ -476,10 +440,7 @@ def somp_initialize(
 
     # Final scan on the full training data with the winning candidates.
     support, _ = select_shared_support(
-        designs,
-        targets,
-        best_theta,
-        _make_solver(best_r0, best_sigma0, designs),
+        data, None, best_theta, solver(best_r0, best_sigma0)
     )
     prior = CorrelatedPrior.from_support(
         n_basis=n_basis_total,

@@ -28,12 +28,36 @@ task may run; on expiry the pool's workers are terminated and the
 unfinished tasks re-run inline. Chaos tests arm a one-shot worker crash
 through the ``REPRO_FAULT_WORKER_CRASH`` token file (see
 :class:`repro.faults.worker_crash_flag`).
+
+BLAS threads: :func:`one_blas_thread` caps every loaded OpenBLAS at one
+thread while it is entered. The fit path's dense algebra is a stream of
+small calls (dual-space kernels of a few hundred rows, K×K and p×p
+factorizations) whose cost on a few cores is dominated by waking
+OpenBLAS's worker threads, not by flops; one thread was never slower at
+any fit shape in the repository. ``parallel_map`` runs every cell inside
+the scope — inline cells, and each spawned worker for its whole life —
+so process-level ``REPRO_MAX_WORKERS`` stays the only parallelism
+control, and answers stay bit-identical across worker counts.
 """
 
 from __future__ import annotations
 
+import contextlib
+import ctypes
 import os
-from typing import Any, Callable, List, Optional, Sequence, TypeVar
+import threading
+from typing import (
+    Any,
+    Callable,
+    Dict,
+    Iterator,
+    List,
+    NamedTuple,
+    Optional,
+    Sequence,
+    Tuple,
+    TypeVar,
+)
 
 import numpy as np
 
@@ -42,6 +66,8 @@ __all__ = [
     "resolve_workers",
     "resolve_task_timeout",
     "derive_seeds",
+    "one_blas_thread",
+    "openblas_thread_counts",
 ]
 
 T = TypeVar("T")
@@ -49,6 +75,31 @@ R = TypeVar("R")
 
 #: Worker-local shared payload installed by the pool initializer.
 _SHARED: Any = None
+
+#: (getter, setter) thread-count symbols of an OpenBLAS build, in lookup
+#: order: numpy's ILP64 copy, scipy's LP64 copy, then the names older
+#: wheels export.
+_OPENBLAS_SYMBOLS = (
+    ("scipy_openblas_get_num_threads64_", "scipy_openblas_set_num_threads64_"),
+    ("scipy_openblas_get_num_threads", "scipy_openblas_set_num_threads"),
+    ("openblas_get_num_threads64_", "openblas_set_num_threads64_"),
+    ("openblas_get_num_threads", "openblas_set_num_threads"),
+)
+
+
+class _BlasControl(NamedTuple):
+    """Thread-count getter and setter of one loaded OpenBLAS."""
+
+    path: str
+    get: Callable[[], int]
+    set: Callable[[int], None]
+
+
+_BLAS_LOCK = threading.Lock()
+#: Open :func:`one_blas_thread` entries across all threads.
+_blas_depth = 0
+#: Control and thread count saved when the scope capped each library.
+_blas_saved: Dict[str, Tuple[_BlasControl, int]] = {}
 
 
 def resolve_workers(
@@ -105,10 +156,94 @@ def derive_seeds(seed, count: int) -> List[np.random.SeedSequence]:
     return list(parent.spawn(count))
 
 
+def _resolve_blas_control(path: str) -> Optional[_BlasControl]:
+    try:
+        library = ctypes.CDLL(path)
+    except OSError:
+        return None
+    for get_name, set_name in _OPENBLAS_SYMBOLS:
+        getter = getattr(library, get_name, None)
+        setter = getattr(library, set_name, None)
+        if getter is not None and setter is not None:
+            getter.restype = ctypes.c_int
+            getter.argtypes = []
+            setter.restype = None
+            setter.argtypes = [ctypes.c_int]
+            return _BlasControl(path, getter, setter)
+    return None
+
+
+def _openblas_controls() -> List[_BlasControl]:
+    """Thread controls of every OpenBLAS mapped into this process.
+
+    Read from ``/proc/self/maps`` at each call, because scipy's copy is
+    only loaded once ``scipy.linalg`` is imported. Empty where there is
+    no ``/proc`` or no OpenBLAS.
+    """
+    try:
+        with open("/proc/self/maps", errors="replace") as handle:
+            lines = handle.read().splitlines()
+    except OSError:
+        return []
+    paths = {
+        fields[-1]
+        for fields in map(str.split, lines)
+        if len(fields) >= 6 and "openblas" in fields[-1].lower()
+    }
+    controls = [_resolve_blas_control(path) for path in sorted(paths)]
+    return [control for control in controls if control is not None]
+
+
+def openblas_thread_counts() -> Dict[str, int]:
+    """Current thread count of every loaded OpenBLAS, by library path."""
+    return {control.path: control.get() for control in _openblas_controls()}
+
+
+def _enter_one_blas_thread() -> None:
+    global _blas_depth
+    with _BLAS_LOCK:
+        _blas_depth += 1
+        # Every entry looks again: a library loaded since the scope
+        # opened (scipy's, in a fresh worker) is capped too.
+        for control in _openblas_controls():
+            if control.path not in _blas_saved:
+                _blas_saved[control.path] = (control, control.get())
+                control.set(1)
+
+
+def _exit_one_blas_thread() -> None:
+    global _blas_depth
+    with _BLAS_LOCK:
+        _blas_depth -= 1
+        if _blas_depth == 0:
+            for control, threads in _blas_saved.values():
+                control.set(threads)
+            _blas_saved.clear()
+
+
+@contextlib.contextmanager
+def one_blas_thread() -> Iterator[None]:
+    """Run the enclosed dense algebra on one OpenBLAS thread.
+
+    Re-entrant and thread-safe: the first entry (from any thread) saves
+    every loaded OpenBLAS's thread count and sets it to one; the last
+    exit restores the saved counts, also when the body raises. Usable as
+    a decorator (``@one_blas_thread()``). Without OpenBLAS, or on a
+    1-core host where it already runs one thread, it changes nothing.
+    """
+    _enter_one_blas_thread()
+    try:
+        yield
+    finally:
+        _exit_one_blas_thread()
+
+
 def _init_worker(shared: Any) -> None:
-    """Pool initializer: stash the shared payload once per worker."""
+    """Pool initializer: stash the shared payload once per worker and
+    hold the one-BLAS-thread scope for the worker's whole life."""
     global _SHARED
     _SHARED = shared
+    _enter_one_blas_thread()
 
 
 def _consume_crash_token() -> None:
@@ -133,9 +268,12 @@ def _consume_crash_token() -> None:
 def _invoke(fn: Callable, item: Any, with_shared: bool) -> Any:
     """Run one cell in a worker, forwarding the worker-local payload."""
     _consume_crash_token()
-    if with_shared:
-        return fn(item, _SHARED)
-    return fn(item)
+    # Nested inside the worker's lifetime scope: catches the libraries
+    # unpickling ``fn`` loaded (scipy's OpenBLAS) after the initializer.
+    with one_blas_thread():
+        if with_shared:
+            return fn(item, _SHARED)
+        return fn(item)
 
 
 def _terminate_workers(executor) -> None:
@@ -192,7 +330,8 @@ def parallel_map(
         return fn(item, shared) if with_shared else fn(item)
 
     if workers == 1:
-        return [run_inline(item) for item in items]
+        with one_blas_thread():
+            return [run_inline(item) for item in items]
 
     import multiprocessing as mp
     from concurrent.futures import ProcessPoolExecutor
@@ -232,6 +371,7 @@ def parallel_map(
                 failed.append(index)
     finally:
         executor.shutdown(wait=not killed, cancel_futures=True)
-    for index in failed:
-        results[index] = run_inline(items[index])
+    with one_blas_thread():
+        for index in failed:
+            results[index] = run_inline(items[index])
     return results

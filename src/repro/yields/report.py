@@ -21,6 +21,7 @@ import numpy as np
 from repro.applications.yield_estimation import Specification
 from repro.basis.dictionary import BasisDictionary
 from repro.core.base import MultiStateRegressor
+from repro.utils.parallel import one_blas_thread
 from repro.yields.moments import (
     RawStateEstimates,
     model_correlation,
@@ -99,6 +100,7 @@ def _shrink_or_fallback(
     )
 
 
+@one_blas_thread()
 def compute_yield_report(
     models: Mapping[str, MultiStateRegressor],
     basis: BasisDictionary,
@@ -113,7 +115,8 @@ def compute_yield_report(
     ``estimates`` lets a caller that already sampled (the benchmark,
     which reuses one sampling pass for both estimators) skip the
     Monte-Carlo step; otherwise every state is sampled at the given
-    budget from its deterministic stream.
+    budget from its deterministic stream. Runs on one BLAS thread, like
+    the fit (:func:`repro.utils.parallel.one_blas_thread`).
     """
     specs = list(specs)
     if estimates is None:

@@ -92,3 +92,168 @@ class TestSelection:
             select_shared_support(
                 designs, targets, 2, lambda d, t: np.zeros((1, 1))
             )
+
+
+# ----------------------------------------------------------------------
+# Balanced (one GEMM per step) vs per-state scans
+# ----------------------------------------------------------------------
+def balanced_problem(seed=0, n_states=24, n_basis=30, n=20):
+    """Every state fitted on one shared design, correlated coefficients."""
+    rng = np.random.default_rng(seed)
+    design = rng.standard_normal((n, n_basis))
+    base = np.zeros(n_basis)
+    base[[3, 11, 17]] = rng.uniform(1.0, 3.0, 3)
+    targets = [
+        design @ (base * (1.0 + 0.1 * k)) + 0.01 * rng.standard_normal(n)
+        for k in range(n_states)
+    ]
+    return [design] * n_states, targets
+
+
+def reference_scan(designs, targets, n_select, solver, aggregate):
+    """Literal eq. 33-34: per-state correlations, products and residuals."""
+    incremental = hasattr(solver, "begin")
+    if incremental:
+        solver.begin(designs, targets)
+    support, steps = [], []
+    residuals = [t.copy() for t in targets]
+    for _ in range(n_select):
+        score = np.zeros(designs[0].shape[1])
+        for design, residual in zip(designs, residuals):
+            xi = design.T @ residual
+            score += np.abs(xi) if aggregate == "l1" else xi * xi
+        score[support] = -np.inf
+        chosen = int(np.argmax(score))
+        support.append(chosen)
+        subs = [design[:, support] for design in designs]
+        coefficients = (
+            solver.extend(chosen) if incremental else solver(subs, targets)
+        )
+        residuals = [
+            target - sub @ coefficients[:, k]
+            for k, (sub, target) in enumerate(zip(subs, targets))
+        ]
+        steps.append((list(support), coefficients.copy()))
+    return support, coefficients, steps
+
+
+def _make_greedy_solver(name):
+    from repro.core.somp_init import (
+        IncrementalBayesSolver,
+        KroneckerBayesSolver,
+    )
+
+    if name == "plain":
+        return least_squares_solver
+    if name == "woodbury":
+        return IncrementalBayesSolver(0.8, 0.2)
+    return KroneckerBayesSolver(0.8, 0.2)
+
+
+_PROBLEMS = {
+    "balanced": lambda: balanced_problem(7),
+    "unbalanced": lambda: shared_sparse_problem(7, n_states=6)[:2],
+}
+
+
+class TestBalancedParity:
+    """The scan on ``MultiStateData`` matches the per-state loop."""
+
+    @pytest.mark.parametrize("aggregate", ["l1", "l2"])
+    @pytest.mark.parametrize(
+        "kind, solver_name",
+        [
+            ("balanced", "plain"),
+            ("balanced", "woodbury"),
+            ("balanced", "kron"),  # needs one shared design
+            ("unbalanced", "plain"),
+            ("unbalanced", "woodbury"),
+        ],
+    )
+    def test_matches_per_state_reference(self, kind, solver_name, aggregate):
+        designs, targets = _PROBLEMS[kind]()
+        steps = []
+        support, coefficients = select_shared_support(
+            designs,
+            targets,
+            8,
+            _make_greedy_solver(solver_name),
+            on_step=lambda s, c: steps.append((list(s), c.copy())),
+            aggregate=aggregate,
+        )
+        ref_support, ref_coefficients, ref_steps = reference_scan(
+            designs, targets, 8, _make_greedy_solver(solver_name), aggregate
+        )
+        assert support == ref_support
+        assert [s for s, _ in steps] == [s for s, _ in ref_steps]
+        for (_, got), (_, want) in zip(steps, ref_steps):
+            np.testing.assert_allclose(got, want, rtol=0, atol=1e-12)
+        np.testing.assert_allclose(
+            coefficients, ref_coefficients, rtol=0, atol=1e-12
+        )
+
+    def test_balanced_problem_takes_the_balanced_path(self):
+        from repro.core.multistate import MultiStateData
+
+        designs, targets = balanced_problem(1)
+        assert MultiStateData.from_states(designs, targets).state_balanced
+        designs, targets = shared_sparse_problem(1)[:2]
+        assert not MultiStateData.from_states(designs, targets).state_balanced
+
+
+class TestRowOps:
+    """``predict_rows``/``correlate``/``split`` agree on both paths."""
+
+    @pytest.mark.parametrize("kind", sorted(_PROBLEMS))
+    def test_predict_and_correlate_match_per_state(self, kind):
+        from repro.core.multistate import MultiStateData
+
+        designs, targets = _PROBLEMS[kind]()
+        data = MultiStateData.from_states(designs, targets)
+        rng = np.random.default_rng(0)
+        columns = [4, 0, 9]
+        mean = rng.standard_normal((len(columns), len(designs)))
+        want = np.concatenate(
+            [d[:, columns] @ mean[:, k] for k, d in enumerate(designs)]
+        )
+        np.testing.assert_allclose(
+            data.predict_rows(mean, columns), want, rtol=1e-13, atol=1e-13
+        )
+        values = rng.standard_normal(data.n_rows)
+        want = np.stack(
+            [d.T @ v for d, v in zip(designs, np.split(
+                values, np.cumsum([d.shape[0] for d in designs])[:-1]
+            ))]
+        )
+        np.testing.assert_allclose(
+            data.correlate(values), want, rtol=1e-13, atol=1e-13
+        )
+
+    def test_shared_split_stays_balanced_without_a_check(self, monkeypatch):
+        from repro.core.multistate import MultiStateData
+
+        designs, targets = balanced_problem(2)
+        data = MultiStateData.from_states(designs, targets)
+        assert data.state_balanced
+        calls = []
+        monkeypatch.setattr(
+            MultiStateData, "_check_balanced",
+            lambda self: calls.append(1) or True,
+        )
+        rows = np.array([5, 1, 7])
+        train, test = data.split([rows] * data.n_states)
+        assert train.state_balanced and test.state_balanced
+        assert calls == []
+        np.testing.assert_array_equal(test.shared_design, designs[0][rows])
+        np.testing.assert_array_equal(test.targets[3], targets[3][rows])
+        assert train.n_rows == data.n_states * (designs[0].shape[0] - 3)
+
+    def test_per_state_split_is_checked_lazily(self):
+        from repro.core.multistate import MultiStateData
+
+        designs, targets = balanced_problem(3, n_states=3)
+        data = MultiStateData.from_states(designs, targets)
+        train, test = data.split([np.array([0]), np.array([1]),
+                                  np.array([0])])
+        assert not train.state_balanced
+        np.testing.assert_array_equal(test.designs[1], designs[1][[1]])
