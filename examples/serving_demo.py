@@ -15,12 +15,7 @@ import numpy as np
 
 from repro import MonteCarloEngine, TunableLNA
 from repro.modelset import PerformanceModelSet
-from repro.serving import (
-    BatchConfig,
-    CacheConfig,
-    ModelRegistry,
-    ModelService,
-)
+from repro.serving import BatchConfig, ModelRegistry, ModelService
 
 
 def main() -> None:
@@ -45,11 +40,11 @@ def main() -> None:
             print(f"  {entry.key:10s} {entry.kind:9s} "
                   f"metrics={','.join(entry.metrics)}")
 
-        # 3. Serve: micro-batched with an LRU result cache.
+        # 3. Serve: micro-batched; every row is computed, one matmul per
+        #    state group.
         service = ModelService(
             registry,
             batch=BatchConfig(max_batch_size=64, flush_interval=0.002),
-            cache=CacheConfig(capacity=4096),
         )
         service.load("lna@v1")
 
@@ -71,7 +66,7 @@ def main() -> None:
         )
         print(f"  max |served - direct| on request 0: {worst:.2e}")
 
-        # 4. Hot swap: atomic under load, cache invalidated.
+        # 4. Hot swap: atomic under load.
         service.swap("lna@v2")
         swapped = service.predict("lna", x[0], int(states[0]))
         print(f"\nhot-swapped to version {swapped.version} "
@@ -81,7 +76,6 @@ def main() -> None:
         snapshot = service.metrics.snapshot()
         print("\nservice telemetry:")
         print(f"  requests        {snapshot['requests']}")
-        print(f"  cache hit rate  {snapshot['cache_hit_rate']:.1%}")
         print(f"  batches         {snapshot['batches']} "
               f"(mean size {snapshot['mean_batch_size']:.1f})")
         print(f"  hot swaps       {snapshot['hot_swaps']}")

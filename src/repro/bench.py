@@ -184,12 +184,7 @@ def bench_serving(
 
     from repro.circuits.lna import TunableLNA
     from repro.modelset import PerformanceModelSet
-    from repro.serving import (
-        BatchConfig,
-        CacheConfig,
-        ModelRegistry,
-        ModelService,
-    )
+    from repro.serving import ModelRegistry, ModelService
     from repro.simulate.montecarlo import MonteCarloEngine
 
     rng = np.random.default_rng(seed)
@@ -205,11 +200,7 @@ def bench_serving(
     with tempfile.TemporaryDirectory() as tmp:
         registry = ModelRegistry(tmp)
         registry.push("lna", models)
-        service = ModelService(
-            registry,
-            batch=BatchConfig(max_batch_size=64),
-            cache=CacheConfig(capacity=16_384),
-        )
+        service = ModelService(registry)
         service.load("lna@latest")
         service.predict_many("lna", x, states)  # warm caches/BLAS
         batched_median = _median_seconds(
@@ -386,8 +377,7 @@ def bench_cluster(
     """Time the cluster: multi-shard throughput vs one process, plus PSS.
 
     Throughput compares the same threaded request stream (one client
-    thread per model name, caches disabled so every request costs a
-    matmul) against a single-process ``ModelService`` and an
+    thread per model name) against a single-process ``ModelService`` and an
     ``n_shards``-worker ``ClusterService``. On a many-core machine the
     shards' matmuls run in true parallel; on one core the cluster pays the
     transport overhead without the parallel payoff — ``details``
@@ -407,12 +397,7 @@ def bench_cluster(
     from repro.cluster import ClusterConfig, ClusterService
     from repro.core.frozen import FrozenModel
     from repro.modelset import PerformanceModelSet
-    from repro.serving import (
-        BatchConfig,
-        CacheConfig,
-        ModelRegistry,
-        ModelService,
-    )
+    from repro.serving import ModelRegistry, ModelService
     from repro.simulate.montecarlo import MonteCarloEngine
 
     dims = CLUSTER_SCALES[scale_name]
@@ -437,17 +422,13 @@ def bench_cluster(
         for name in names
     }
     n_rows_total = n_shards * dims["n_requests"] * dims["rows_per_request"]
-    batch_cfg = BatchConfig(max_batch_size=128)
-    cache_cfg = CacheConfig(capacity=0)  # measure compute, not the LRU
 
     with tempfile.TemporaryDirectory() as tmp:
         registry = ModelRegistry(Path(tmp) / "registry")
         for name in names:
             registry.push(name, models)
 
-        service = ModelService(
-            registry, batch=batch_cfg, cache=cache_cfg
-        )
+        service = ModelService(registry)
         for name in names:
             service.load(f"{name}@latest")
         _drive_requests(service.predict_many, names, batches)  # warm BLAS
@@ -458,9 +439,7 @@ def bench_cluster(
             repeats,
         )
 
-        config = ClusterConfig(
-            n_shards=n_shards, batch=batch_cfg, cache=cache_cfg
-        )
+        config = ClusterConfig(n_shards=n_shards)
         with ClusterService(
             registry,
             [f"{name}@v1" for name in names],

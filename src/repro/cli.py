@@ -122,13 +122,7 @@ def _cmd_serve_bench(args) -> int:
 
     from repro.circuits.lna import TunableLNA
     from repro.modelset import PerformanceModelSet
-    from repro.serving import (
-        BatchConfig,
-        CacheConfig,
-        ModelRegistry,
-        ModelService,
-        quantize_key,
-    )
+    from repro.serving import BatchConfig, ModelRegistry, ModelService
     from repro.simulate.montecarlo import MonteCarloEngine
 
     rng = np.random.default_rng(args.seed)
@@ -146,8 +140,6 @@ def _cmd_serve_bench(args) -> int:
     print(f"fit {len(models.metric_names)} metrics "
           f"in {time.perf_counter() - started:.2f}s")
 
-    cache = CacheConfig(capacity=args.cache_size)
-
     def run(registry):
         entry = registry.push("lna", models)
         print(f"pushed {entry.key} -> {entry.path}")
@@ -161,7 +153,6 @@ def _cmd_serve_bench(args) -> int:
             service = ModelService(
                 registry,
                 batch=BatchConfig(max_batch_size=1, flush_interval=0.0),
-                cache=cache,
             )
             service.load("lna@latest")
             t0 = time.perf_counter()
@@ -173,7 +164,6 @@ def _cmd_serve_bench(args) -> int:
             service = ModelService(
                 registry,
                 batch=BatchConfig(max_batch_size=args.batch_size),
-                cache=cache,
             )
             service.load("lna@latest")
             t0 = time.perf_counter()
@@ -191,36 +181,20 @@ def _cmd_serve_bench(args) -> int:
             t_batch = min(t_batch, t_again)
 
         # Bit-identity: the engine computes one FrozenModel.predict per
-        # (state, deduplicated rows) group; mirror that exact call here.
+        # state on that state's stacked rows in request order; mirror
+        # that exact call here.
         frozen = models.freeze()
-        decimals = cache.decimals
         worst = 0.0
-        identical = True
         for state in range(args.states):
-            seen, rows, owners = {}, [], []
-            for i in range(n):
-                if states[i] != state:
-                    continue
-                key = quantize_key(x[i], state, decimals)
-                if key not in seen:
-                    seen[key] = len(rows)
-                    rows.append(i)
-                    owners.append([i])
-                else:
-                    owners[seen[key]].append(i)
-            if not rows:
+            rows = np.flatnonzero(states == state)
+            if not rows.size:
                 continue
-            design = models.basis.expand(x[np.asarray(rows)])
+            design = models.basis.expand(x[rows])
             for metric, model in frozen.items():
-                reference = model.predict(design, state)
-                for j, requesters in enumerate(owners):
-                    for i in requesters:
-                        diff = abs(
-                            results[i].values[metric] - reference[j]
-                        )
-                        worst = max(worst, diff)
-                        if diff != 0.0:
-                            identical = False
+                served = np.array([results[i].values[metric] for i in rows])
+                diff = np.abs(served - model.predict(design, state))
+                worst = max(worst, float(diff.max()))
+        identical = worst == 0.0
         snapshot = service.metrics.snapshot()
         print()
         print(f"requests            {n} "
@@ -232,7 +206,6 @@ def _cmd_serve_bench(args) -> int:
         print(f"speedup             {t_single / t_batch:.1f}x")
         print(f"bit-identical       {identical} "
               f"(max |diff| = {worst:.1e})")
-        print(f"cache hit rate      {snapshot['cache_hit_rate']:.1%}")
         print(f"batches             {snapshot['batches']} "
               f"(mean size {snapshot['mean_batch_size']:.0f})")
         print(f"p50 / p95 latency   {snapshot['p50_latency_ms']:.4f} / "
@@ -682,15 +655,12 @@ def _fit_demo_fleet(args):
 
 def _cluster_config(args):
     from repro.cluster import ClusterConfig
-    from repro.serving import BatchConfig, CacheConfig
 
     return ClusterConfig(
         n_shards=args.shards,
         replication=args.replication,
         max_queue_rows=args.queue_rows,
         default_deadline_s=args.deadline,
-        batch=BatchConfig(max_batch_size=args.batch_size),
-        cache=CacheConfig(capacity=args.cache_size),
     )
 
 
@@ -1043,7 +1013,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--requests", type=int, default=10_000,
                    help="how many mixed-state requests to serve")
     p.add_argument("--pool", type=int, default=2_000,
-                   help="unique sample points (repeats exercise the cache)")
+                   help="unique sample points the requests draw from")
     p.add_argument("--states", type=int, default=4)
     p.add_argument("--train", type=int, default=12,
                    help="training samples per state")
@@ -1051,8 +1021,6 @@ def build_parser() -> argparse.ArgumentParser:
                    help="estimator to fit (default: cbmf)")
     p.add_argument("--batch-size", type=int, default=64,
                    help="engine max micro-batch size")
-    p.add_argument("--cache-size", type=int, default=16_384,
-                   help="LRU prediction-cache capacity (0 disables)")
     p.add_argument("--registry", default=None,
                    help="persist the registry here (default: temp dir)")
     p.add_argument("--trials", type=int, default=3,
@@ -1222,10 +1190,6 @@ def build_parser() -> argparse.ArgumentParser:
                           help="training samples per state")
     p_cbench.add_argument("--method", default="somp",
                           help="estimator to fit (default: somp)")
-    p_cbench.add_argument("--batch-size", type=int, default=64,
-                          help="shard engine max micro-batch size")
-    p_cbench.add_argument("--cache-size", type=int, default=16_384,
-                          help="per-shard LRU capacity (0 disables)")
     p_cbench.add_argument("--queue-rows", type=int, default=4096,
                           help="admission bound: rows in flight per shard")
     p_cbench.add_argument("--deadline", type=float, default=30.0,
@@ -1271,10 +1235,6 @@ def build_parser() -> argparse.ArgumentParser:
                           help="training samples per state")
     p_cserve.add_argument("--method", default="somp",
                           help="estimator to fit (default: somp)")
-    p_cserve.add_argument("--batch-size", type=int, default=64,
-                          help="shard engine max micro-batch size")
-    p_cserve.add_argument("--cache-size", type=int, default=16_384,
-                          help="per-shard LRU capacity (0 disables)")
     p_cserve.add_argument("--queue-rows", type=int, default=4096,
                           help="admission bound: rows in flight per shard")
     p_cserve.add_argument("--deadline", type=float, default=30.0,

@@ -20,6 +20,12 @@ model *names* to registry version keys. Callers use plain synchronous
    :class:`~repro.errors.DeadlineError` and is counted per shard and
    per version.
 
+Requests are validated (finite rows of the served key's width) before
+they are queued, so one caller's bad rows can never fail the
+neighbours coalesced into its frame. Replies stay as the shard sent
+them — ``(header, columns)`` — until :meth:`ClusterService.predict_many`
+turns them into rows; the TCP listener forwards them unchanged.
+
 A shard that dies (crash, ``shard:kill`` chaos fault, OOM-kill…) is
 detected by its connection closing: every in-flight request on it fails
 immediately with :class:`~repro.errors.ShardCrashError`, and the
@@ -35,13 +41,17 @@ import multiprocessing
 import socket
 import threading
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from repro.cluster.metrics import ClusterMetrics, format_cluster_report
-from repro.cluster.protocol import read_frame_async, write_frame_async
+from repro.cluster.protocol import (
+    decode_results,
+    read_frame_async,
+    write_frame_async,
+)
 from repro.cluster.shard import shard_main
 from repro.cluster.store import export_model_store
 from repro.errors import (
@@ -51,7 +61,6 @@ from repro.errors import (
     ShedError,
 )
 from repro.faults import FaultPlan, shard_faults
-from repro.serving.engine import BatchConfig, CacheConfig
 from repro.serving.requests import PredictionResult
 
 __all__ = ["ClusterConfig", "ClusterService"]
@@ -90,8 +99,6 @@ class ClusterConfig:
         :class:`ShardCrashError`.
     start_timeout_s:
         How long to wait for a freshly spawned shard's ready handshake.
-    batch, cache:
-        Per-shard :class:`PredictionEngine` configuration.
     """
 
     n_shards: int = 2
@@ -101,8 +108,6 @@ class ClusterConfig:
     default_deadline_s: float = 30.0
     max_respawns: int = 3
     start_timeout_s: float = 120.0
-    batch: BatchConfig = field(default_factory=BatchConfig)
-    cache: CacheConfig = field(default_factory=CacheConfig)
 
     def __post_init__(self) -> None:
         """Validate the configuration."""
@@ -158,7 +163,11 @@ def _parse_specs(specs: Sequence) -> List[Dict]:
 
 
 def _validate_predict(x, states) -> Tuple[np.ndarray, np.ndarray]:
-    """Coerce and shape-check one predict batch (gateway and listener)."""
+    """Coerce and shape-check one predict batch (gateway and listener).
+
+    The key-dependent checks (finite rows of the served width) run in
+    :meth:`ClusterService._predict_async`, once the version is routed.
+    """
     x = np.ascontiguousarray(np.asarray(x, dtype=float))
     states = np.ascontiguousarray(np.asarray(states, dtype=np.int64))
     if x.ndim != 2:
@@ -299,6 +308,8 @@ class ClusterService:
         # canary placement and reporting keep their PR-6 semantics.
         self._key_shard: Dict[str, int] = {}
         self._key_replicas: Dict[str, List[int]] = {}
+        # key -> basis.n_variables from the registry manifest.
+        self._key_width: Dict[str, Optional[int]] = {}
         self._shards: List[_ShardHandle] = []
         self._ids = itertools.count(1)
         self._route_lock = threading.Lock()
@@ -443,10 +454,6 @@ class ClusterService:
         """
         digest = {}
         for name, route in sorted(self._routes.items()):
-            try:
-                manifest = self.registry.entry(route.stable).manifest
-            except Exception:  # registry pruned underneath us
-                manifest = {}
             digest[name] = {
                 "stable": route.stable,
                 "canary": route.canary,
@@ -455,11 +462,7 @@ class ClusterService:
                 "replicas": list(
                     self._key_replicas.get(route.stable, ())
                 ),
-                "n_variables": (
-                    manifest.get("basis", {}).get("n_variables")
-                    if isinstance(manifest.get("basis"), dict)
-                    else None
-                ),
+                "n_variables": self._key_width.get(route.stable),
             }
         return digest
 
@@ -499,8 +502,8 @@ class ClusterService:
         if x.shape[0] == 0:
             return []
         deadline_s = self._resolve_deadline(deadline_s)
-        return self._run(
-            self._predict_async(name, x, states, deadline_s)
+        return decode_results(
+            *self._run(self._predict_async(name, x, states, deadline_s))
         )
 
     def _resolve_deadline(self, deadline_s: Optional[float]) -> float:
@@ -516,18 +519,29 @@ class ClusterService:
         x: np.ndarray,
         states: np.ndarray,
         deadline_s: float,
-    ) -> List[PredictionResult]:
-        """Loop-side predict: route, submit with failover, record."""
+    ) -> Tuple[Dict, List[np.ndarray]]:
+        """Loop-side predict: route, validate, submit with failover.
+
+        Returns the shard's ``"result"`` frame as ``(header, columns)``.
+        """
         key = self._choose_version(name)
+        width = self._key_width.get(key)
+        if width is not None and x.shape[1] != width:
+            raise ValueError(
+                f"x has {x.shape[1]} columns; {key} expects {width} "
+                "variables"
+            )
+        if not np.all(np.isfinite(x)):
+            raise ValueError("x contains non-finite values")
         started = time.perf_counter()
-        results, served_by = await self._submit(
+        reply, served_by = await self._submit(
             key, x, states, time.monotonic() + deadline_s
         )
         self.metrics.record_batch(
             served_by, key, x.shape[0],
             time.perf_counter() - started,
         )
-        return results
+        return reply
 
     def yield_report(
         self,
@@ -702,6 +716,10 @@ class ClusterService:
             owners = order[:r]
         self._key_shard[key] = owners[0]
         self._key_replicas[key] = owners
+        basis = self.registry.entry(key).manifest.get("basis")
+        self._key_width[key] = (
+            basis.get("n_variables") if isinstance(basis, dict) else None
+        )
         return owners
 
     async def _load_key_async(
@@ -807,8 +825,6 @@ class ClusterService:
                 self.store_dir,
                 self._shard_keys(handle.index),
                 handle.index,
-                self.config.batch,
-                self.config.cache,
             ),
             daemon=True,
             name=f"repro-shard-{handle.index}",
@@ -917,20 +933,7 @@ class ClusterService:
                     continue
                 kind = header.get("kind")
                 if kind == "result":
-                    values, cached = arrays[:-1], arrays[-1]
-                    metrics = header["metrics"]
-                    version = int(header["version"])
-                    item.future.set_result([
-                        PredictionResult(
-                            values={
-                                metric: float(values[m][row])
-                                for m, metric in enumerate(metrics)
-                            },
-                            cached=bool(cached[row]),
-                            version=version,
-                        )
-                        for row in range(item.n)
-                    ])
+                    item.future.set_result((header, arrays))
                 elif kind == "error":
                     etype = header.get("etype")
                     message = header.get("error", "shard error")
@@ -1046,9 +1049,9 @@ class ClusterService:
         x: np.ndarray,
         states: np.ndarray,
         expiry: float,
-    ) -> Tuple[List[PredictionResult], int]:
-        """Submit one batch with replica failover; returns (results,
-        serving shard index).
+    ) -> Tuple[Tuple[Dict, List[np.ndarray]], int]:
+        """Submit one batch with replica failover; returns (the shard's
+        ``(header, columns)`` reply, serving shard index).
 
         Each attempt gets an equal slice of the remaining monotonic
         budget (the final attempt gets all of it), so a hung primary
@@ -1073,10 +1076,10 @@ class ClusterService:
                 else time.monotonic() + remaining / attempts_left
             )
             try:
-                results = await self._attempt_predict(
+                reply = await self._attempt_predict(
                     handle, key, x, states, attempt_expiry
                 )
-                return results, handle.index
+                return reply, handle.index
             except (ShardCrashError, DeadlineError):
                 if attempts_left == 1 or expiry - time.monotonic() <= 0:
                     raise
@@ -1092,7 +1095,7 @@ class ClusterService:
         x: np.ndarray,
         states: np.ndarray,
         expiry: float,
-    ) -> List[PredictionResult]:
+    ) -> Tuple[Dict, List[np.ndarray]]:
         """One replica attempt: admission, enqueue, bounded wait."""
         n = int(x.shape[0])
         if handle.pending_rows + n > self.config.max_queue_rows:

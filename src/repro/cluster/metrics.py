@@ -13,7 +13,7 @@ canary shows up in its own numbers before cutover.
 per-shard engine snapshots (fetched over the wire) into one text
 report; the engine counters are **summed across every shard** via
 :func:`repro.serving.metrics.aggregate_snapshots` — a report that
-showed only shard 0's private cache stats would under-count the rest of
+showed only shard 0's private counters would under-count the rest of
 the fleet.
 """
 
@@ -231,7 +231,7 @@ def format_cluster_report(
     engine_snapshots:
         Optional per-shard ``ServingMetrics.snapshot()`` dicts fetched
         from the workers; rendered per shard *and* summed into one
-        aggregate line (the whole fleet's cache traffic, not shard 0's).
+        aggregate line (the whole fleet's traffic, not shard 0's).
     routes:
         Optional routing-table digest (``ClusterService.describe_routes``)
         so the report shows which versions serve which names and any
@@ -294,16 +294,12 @@ def format_cluster_report(
         for index, engine in enumerate(engine_snapshots):
             lines.append(
                 f"  shard {index}: requests={engine.get('requests', 0)} "
-                f"cache_hit_rate={engine.get('cache_hit_rate', 0.0):.1%} "
                 f"batches={engine.get('batches', 0)} "
                 f"mean_batch={engine.get('mean_batch_size', 0.0):.1f}"
             )
         total = aggregate_snapshots(engine_snapshots)
         lines.append(
             f"  aggregate: requests={total['requests']} "
-            f"cache_hits={total['cache_hits']} "
-            f"cache_misses={total['cache_misses']} "
-            f"cache_hit_rate={total['cache_hit_rate']:.1%} "
             f"batches={total['batches']} "
             f"rows={total['batched_rows']}"
         )

@@ -53,6 +53,7 @@ import numpy as np
 
 from repro.cluster.protocol import (
     ProtocolError,
+    decode_results,
     read_frame,
     read_frame_async,
     send_frame,
@@ -139,8 +140,8 @@ def _error_from_frame(header: Dict) -> Exception:
 
 
 # ----------------------------------------------------------------------
-# Shared request/reply codecs (used by both clients and tested against
-# the listener's dispatch).
+# Request codec shared by both clients (replies decode with
+# protocol.decode_results).
 # ----------------------------------------------------------------------
 def _encode_predict(
     name: str,
@@ -155,46 +156,6 @@ def _encode_predict(
         np.ascontiguousarray(np.asarray(x, dtype=float)),
         np.ascontiguousarray(np.asarray(states, dtype=np.int64)),
     ]
-
-
-def _decode_results(
-    header: Dict, arrays: Sequence[np.ndarray]
-) -> List[PredictionResult]:
-    if not arrays:
-        return []
-    metrics = list(header.get("metrics", ()))
-    version = int(header.get("version", 0))
-    values, cached = arrays[:-1], arrays[-1]
-    return [
-        PredictionResult(
-            values={
-                metric: float(values[m][row])
-                for m, metric in enumerate(metrics)
-            },
-            cached=bool(cached[row]),
-            version=version,
-        )
-        for row in range(int(cached.shape[0]))
-    ]
-
-
-def _results_frame(
-    results: Sequence[PredictionResult],
-) -> Tuple[Dict, List[np.ndarray]]:
-    n = len(results)
-    metrics = list(results[0].values) if n else []
-    version = results[0].version if n else 0
-    values = [
-        np.fromiter(
-            (r.values[metric] for r in results), dtype=float, count=n
-        )
-        for metric in metrics
-    ]
-    cached = np.fromiter((r.cached for r in results), dtype=np.uint8, count=n)
-    return (
-        {"kind": "result", "metrics": metrics, "version": int(version)},
-        values + [cached],
-    )
 
 
 # ----------------------------------------------------------------------
@@ -383,11 +344,12 @@ class ClusterListener:
                 header.get("deadline_s")
             )
             if x.shape[0] == 0:
-                return _results_frame([])
-            results = await service._predict_async(
+                return {"kind": "result", "metrics": [], "version": 0}, []
+            # The shard's reply columns go back to the client as they
+            # arrived; the listener overwrites only the request id.
+            return await service._predict_async(
                 name, x, states, deadline_s
             )
-            return _results_frame(results)
         if kind == "yield":
             name = header.get("name")
             if not isinstance(name, str):
@@ -540,7 +502,7 @@ class ClusterClient(_ClientCore):
         reply, arrays = self._roundtrip(
             *_encode_predict(name, x, states, deadline_s)
         )
-        return _decode_results(reply, arrays)
+        return decode_results(reply, arrays)
 
     def predict(
         self,
@@ -685,7 +647,7 @@ class AsyncClusterClient(_ClientCore):
         reply, arrays = await self._roundtrip(
             *_encode_predict(name, x, states, deadline_s)
         )
-        return _decode_results(reply, arrays)
+        return decode_results(reply, arrays)
 
     async def predict(
         self,

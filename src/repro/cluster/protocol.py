@@ -16,7 +16,10 @@ stream API (the gateway) are provided over the same format.
 Frame kinds are a gateway/shard contract, not enforced here — the
 header is an arbitrary JSON-serializable dict. ``MAX_FRAME_BYTES``
 bounds a frame so a corrupt length prefix fails fast instead of
-attempting a multi-gigabyte allocation.
+attempting a multi-gigabyte allocation. A predict reply (``"result"``)
+carries one float64 column per name in its ``"metrics"`` list; it
+crosses shard → gateway → client unchanged, and
+:func:`decode_results` turns it into rows at the end.
 """
 
 from __future__ import annotations
@@ -30,10 +33,12 @@ from typing import Dict, List, Sequence, Tuple
 import numpy as np
 
 from repro.errors import ServingError
+from repro.serving.requests import PredictionResult, results_from_columns
 
 __all__ = [
     "MAX_FRAME_BYTES",
     "ProtocolError",
+    "decode_results",
     "read_frame",
     "read_frame_async",
     "send_frame",
@@ -143,6 +148,24 @@ def _decode_payload(
             f"the header does not account for"
         )
     return arrays
+
+
+def decode_results(
+    header: Dict, arrays: Sequence[np.ndarray]
+) -> List[PredictionResult]:
+    """Rows of a ``"result"`` frame: one equal-length column per metric."""
+    metrics = list(header.get("metrics", ()))
+    shapes = [array.shape for array in arrays]
+    if len(shapes) != len(metrics) or any(
+        len(shape) != 1 or shape != shapes[0] for shape in shapes
+    ):
+        raise ProtocolError(
+            f"result frame has {len(metrics)} metrics but columns of "
+            f"shapes {shapes}"
+        )
+    return results_from_columns(
+        metrics, int(header.get("version", 0)), arrays
+    )
 
 
 def _check_lengths(header_len: int, payload_len: int) -> None:

@@ -2,7 +2,7 @@
 
 ``shard_main`` is the spawn-context entry point of one cluster worker.
 At startup it opens the shared :class:`~repro.cluster.store.ModelStore`
-(sha256-verified), builds a private micro-batching
+(sha256-verified), builds a private
 :class:`~repro.serving.engine.PredictionEngine`, instantiates a
 :class:`~repro.serving.engine.ServedModel` per assigned ``name@vN`` key
 (coefficients stay memmapped — the worker never copies them), measures
@@ -15,8 +15,9 @@ socket:
     stamped at frame-write time on the sender's monotonic clock.
     Requests whose budget is already spent are answered with a
     structured ``deadline`` error (the rows are not computed); the rest
-    are answered by **one** ``predict_many`` call — the single-matmul
-    hot path of the whole cluster.
+    are answered by **one** ``predict_array`` call (one matmul per
+    state group, the hot path of the whole cluster), and each request's
+    reply carries its rows of that array as one column per metric.
 ``yield``
     Computes a correlation-shared yield/moment report for one served
     key (see :mod:`repro.yields`) and answers it entirely inside the
@@ -25,9 +26,9 @@ socket:
     computation's peak allocation, so the caller can *prove* no
     MK × MK covariance was densified inside the worker.
 ``metrics``
-    Ships the engine's :meth:`ServingMetrics.snapshot` plus cache size
-    and the store-mapping PSS numbers, so the gateway can aggregate
-    counters across the fleet.
+    Ships the engine's :meth:`ServingMetrics.snapshot` plus the
+    store-mapping PSS numbers, so the gateway can aggregate counters
+    across the fleet.
 ``load``
     Re-opens the store manifest (a canary export may have extended it)
     and installs a new key for serving.
@@ -48,18 +49,13 @@ import os
 import socket
 import time
 import tracemalloc
-from typing import Dict, Optional
+from typing import Dict
 
 import numpy as np
 
 from repro.cluster.protocol import read_frame, send_frame
 from repro.cluster.store import ModelStore, mapped_pss_bytes
-from repro.serving.engine import (
-    BatchConfig,
-    CacheConfig,
-    PredictionEngine,
-    ServedModel,
-)
+from repro.serving.engine import PredictionEngine, ServedModel
 
 __all__ = ["shard_main"]
 
@@ -118,9 +114,7 @@ def _serve_predict(
         x, states = x[index], states[index]
     model = served[key]
     try:
-        results = engine.predict_many(
-            model, np.asarray(x, dtype=float), np.asarray(states, dtype=int)
-        )
+        out = engine.predict_array(model, x, states)
     except Exception as error:  # answer, never die
         for req in live:
             send_frame(sock, {
@@ -128,30 +122,20 @@ def _serve_predict(
                 "error": f"{type(error).__name__}: {error}",
             })
         return
-    metrics_names = list(model.metric_names)
+    metrics = list(model.metric_names)
     cursor = 0
     for req in live:
-        n = req["n"]
-        chunk = results[cursor:cursor + n]
-        cursor += n
-        values = [
-            np.fromiter(
-                (r.values[m] for r in chunk), dtype=float, count=n
-            )
-            for m in metrics_names
-        ]
-        cached = np.fromiter(
-            (r.cached for r in chunk), dtype=np.uint8, count=n
-        )
+        block = out[cursor:cursor + req["n"]]
+        cursor += req["n"]
         send_frame(
             sock,
             {
                 "kind": "result",
                 "id": req["id"],
-                "metrics": metrics_names,
+                "metrics": metrics,
                 "version": model.version,
             },
-            values + [cached],
+            list(block.T),
         )
 
 
@@ -234,8 +218,6 @@ def shard_main(
     store_dir: str,
     keys,
     shard_index: int,
-    batch: Optional[BatchConfig] = None,
-    cache: Optional[CacheConfig] = None,
 ) -> None:
     """Run one shard worker over its gateway socket until shutdown.
 
@@ -248,7 +230,7 @@ def shard_main(
     """
     store = ModelStore.open(store_dir)
     store.touch()
-    engine = PredictionEngine(batch=batch, cache=cache)
+    engine = PredictionEngine()
     served: Dict[str, ServedModel] = {
         key: store.served_model(key) for key in keys
     }
@@ -277,7 +259,6 @@ def shard_main(
                 "shard": int(shard_index),
                 "pid": os.getpid(),
                 "engine": engine.metrics.snapshot(),
-                "cache_size": engine.cache_size,
                 "store_bytes": int(store.nbytes),
                 "store_pss_bytes": mapped_pss_bytes(store_dir),
             })

@@ -5,8 +5,9 @@ A fitted performance model's life after ``fit`` lives here:
 * :class:`ModelRegistry` — versioned on-disk store of frozen models
   (``name@vN`` keys, JSON manifests, sha256 integrity checks).
 * :class:`PredictionEngine` — coalesces single and bulk requests into
-  one vectorized matmul per (model, state) group, with an LRU cache on
-  quantized inputs.
+  one vectorized matmul per (model, state) group; every row is
+  computed, and answers stay column arrays until a public method
+  returns :class:`PredictionResult` rows.
 * :class:`ServingMetrics` — counters and latency quantiles behind a
   ``snapshot()`` dict.
 * :class:`ModelService` — the thread-safe façade wiring the three
@@ -19,12 +20,7 @@ A fitted performance model's life after ``fit`` lives here:
     service.predict("lna", x, state=3).values   # {"nf_db": ..., ...}
 """
 
-from repro.serving.engine import (
-    BatchConfig,
-    CacheConfig,
-    PredictionEngine,
-    ServedModel,
-)
+from repro.serving.engine import BatchConfig, PredictionEngine, ServedModel
 from repro.serving.metrics import ServingMetrics, aggregate_snapshots
 from repro.serving.registry import (
     ModelRegistry,
@@ -33,16 +29,11 @@ from repro.serving.registry import (
     read_model_dir,
     write_model_dir,
 )
-from repro.serving.requests import (
-    PredictionRequest,
-    PredictionResult,
-    quantize_key,
-)
+from repro.serving.requests import PredictionRequest, PredictionResult
 from repro.serving.service import ModelService
 
 __all__ = [
     "BatchConfig",
-    "CacheConfig",
     "ModelRegistry",
     "ModelService",
     "PredictionEngine",
@@ -53,7 +44,6 @@ __all__ = [
     "ServedModel",
     "ServingMetrics",
     "aggregate_snapshots",
-    "quantize_key",
     "read_model_dir",
     "write_model_dir",
 ]

@@ -1,32 +1,32 @@
-"""Micro-batching prediction engine with an LRU request cache.
+"""Micro-batching prediction engine.
 
 The hot path of serving is a matmul — ``basis.expand(x) @ coef[state]``
 — and a matmul over one stacked design matrix is far cheaper than the
 same rows one by one. The engine therefore never computes a request in
 isolation if it can help it:
 
+* ``predict_array`` (the bulk path) groups the rows by state and runs
+  one ``basis.expand`` plus one :meth:`ServedModel.predict_design` per
+  group, filling one ``(rows, metrics)`` array — so every answer is an
+  element of ``FrozenModel.predict`` on that state's stacked rows, in
+  request order. ``predict_many`` wraps it in :class:`PredictionResult`
+  rows; the cluster shards send the array's columns as they are.
 * ``predict`` (the streaming path) parks each request in a queue; the
   queue flushes when it reaches ``BatchConfig.max_batch_size`` rows or
-  when ``flush_interval`` elapses, whichever comes first, and one
-  vectorized :meth:`ServedModel.predict_design` call answers every
-  queued request of the same (model, state) group. Concurrent callers
-  coalesce; a lone caller pays at most one flush interval of latency.
-* ``predict_many`` (the bulk path) groups the whole request list by
-  state, deduplicates quantized-identical rows, and runs exactly one
-  ``FrozenModel.predict`` per (model, state) group — so its outputs are
-  bit-identical to calling ``FrozenModel.predict`` directly on the same
-  deduplicated stacked matrix.
+  when ``flush_interval`` elapses, whichever comes first, and the flush
+  hands each served model's queued rows to the bulk path. Concurrent
+  callers coalesce; a lone caller pays at most one flush interval of
+  latency.
 
-Results are cached in an LRU keyed on ``(name, version, state,
-quantized x)``; the version in the key makes hot-swap safe — a swapped
-model can never serve a predecessor's cached numbers.
+Repeated rows are computed each time: Monte-Carlo sign-off and
+post-silicon tuning traffic never repeats an ``(x, state)`` pair, so a
+result cache would only add a lookup per row.
 """
 
 from __future__ import annotations
 
 import threading
 import time
-from collections import OrderedDict
 from types import MappingProxyType
 from dataclasses import dataclass, field
 from typing import Dict, List, Mapping, Optional, Sequence, Tuple
@@ -36,10 +36,9 @@ import numpy as np
 from repro.basis import BasisDictionary
 from repro.core.frozen import FrozenModel
 from repro.serving.metrics import ServingMetrics
-from repro.serving.requests import PredictionResult, quantize_key
-from repro.utils.validation import check_matrix
+from repro.serving.requests import PredictionResult, results_from_columns
 
-__all__ = ["BatchConfig", "CacheConfig", "PredictionEngine", "ServedModel"]
+__all__ = ["BatchConfig", "PredictionEngine", "ServedModel"]
 
 
 @dataclass(frozen=True)
@@ -84,31 +83,6 @@ class BatchConfig:
         if self.flush_interval == 0.0:
             return 5e-4
         return self.flush_interval
-
-
-@dataclass(frozen=True)
-class CacheConfig:
-    """Prediction-cache knobs.
-
-    ``capacity`` bounds the LRU entry count (0 disables caching);
-    ``decimals`` sets the input quantization — requests agreeing to that
-    many digits share one cached prediction.
-    """
-
-    capacity: int = 4096
-    decimals: int = 9
-
-    def __post_init__(self) -> None:
-        """Validate the configuration."""
-        if self.capacity < 0:
-            raise ValueError(
-                f"capacity must be >= 0, got {self.capacity}"
-            )
-
-    @property
-    def enabled(self) -> bool:
-        """Whether caching is active (capacity > 0)."""
-        return self.capacity > 0
 
 
 class ServedModel:
@@ -180,6 +154,33 @@ class ServedModel:
         )
 
 
+def _check_rows(
+    served: ServedModel, x, states
+) -> Tuple[np.ndarray, np.ndarray]:
+    """Validate a bulk request: finite ``(rows, n_variables)`` ``x`` and
+    one in-range state per row. Returns both as arrays."""
+    x = np.asarray(x, dtype=float)
+    n_variables = served.basis.n_variables
+    if x.ndim != 2 or x.shape[1] != n_variables:
+        raise ValueError(
+            f"x has shape {x.shape}; model {served.name}@v{served.version} "
+            f"expects rows of {n_variables} variables"
+        )
+    if not np.all(np.isfinite(x)):
+        raise ValueError("x contains non-finite values")
+    states = np.asarray(states, dtype=int)
+    if states.shape != (x.shape[0],):
+        raise ValueError(
+            f"got {x.shape[0]} rows but {states.shape} states"
+        )
+    bad = states[(states < 0) | (states >= served.n_states)]
+    if bad.size:
+        raise IndexError(
+            f"state {bad[0]} out of range 0..{served.n_states - 1}"
+        )
+    return x, states
+
+
 @dataclass
 class _Pending:
     """One queued streaming request awaiting a batch flush."""
@@ -187,11 +188,9 @@ class _Pending:
     served: ServedModel
     x: np.ndarray
     state: int
-    key: Tuple
     event: threading.Event = field(default_factory=threading.Event)
-    result: Optional[PredictionResult] = None
+    row: Optional[np.ndarray] = None  # (1, metrics) answer
     error: Optional[Exception] = None
-    followers: List["_Pending"] = field(default_factory=list)
 
 
 class PredictionEngine:
@@ -201,106 +200,105 @@ class PredictionEngine:
         self,
         metrics: Optional[ServingMetrics] = None,
         batch: Optional[BatchConfig] = None,
-        cache: Optional[CacheConfig] = None,
     ) -> None:
         self.metrics = metrics if metrics is not None else ServingMetrics()
         self.batch = batch if batch is not None else BatchConfig()
-        self.cache = cache if cache is not None else CacheConfig()
         self._lock = threading.Lock()
         self._queue: List[_Pending] = []
-        self._inflight: Dict[Tuple, _Pending] = {}
-        self._cache: "OrderedDict[Tuple, Dict[str, float]]" = OrderedDict()
 
-    # -- cache ----------------------------------------------------------
-    def _cache_key(self, served: ServedModel, x: np.ndarray, state: int):
-        quant = quantize_key(x, state, self.cache.decimals)
-        return (served.name, served.version) + quant
+    # -- bulk path ------------------------------------------------------
+    def _compute(
+        self, served: ServedModel, x: np.ndarray, states: np.ndarray
+    ) -> np.ndarray:
+        """``(rows, metrics)`` answers, one expand + predict per state.
 
-    def _cache_get(self, key) -> Optional[Dict[str, float]]:
-        """Look up (and LRU-touch) a key. Caller holds the lock."""
-        if not self.cache.enabled:
-            return None
-        values = self._cache.get(key)
-        if values is not None:
-            self._cache.move_to_end(key)
-        return values
+        Column-major, so each metric's column — and any row range of
+        it — is contiguous.
+        """
+        metrics = served.metric_names
+        n = x.shape[0]
+        out = np.empty((n, len(metrics)), order="F")
+        if not n:
+            return out
+        # A stable sort keeps each state's rows in request order.
+        order = np.argsort(states, kind="stable")
+        ordered = states[order]
+        starts = (np.flatnonzero(np.diff(ordered)) + 1).tolist()
+        for start, stop in zip([0] + starts, starts + [n]):
+            rows = order[start:stop]
+            answers = served.predict_design(
+                served.basis.expand(x[rows]), int(ordered[start])
+            )
+            for j, metric in enumerate(metrics):
+                out[rows, j] = answers[metric]
+            self.metrics.record_batch(rows.size)
+        return out
 
-    def _cache_put(self, key, values: Dict[str, float]) -> None:
-        """Insert a computed result. Caller holds the lock."""
-        if not self.cache.enabled:
-            return
-        self._cache[key] = values
-        self._cache.move_to_end(key)
-        while len(self._cache) > self.cache.capacity:
-            self._cache.popitem(last=False)
+    def predict_array(
+        self,
+        served: ServedModel,
+        x: np.ndarray,
+        states: Sequence[int],
+    ) -> np.ndarray:
+        """Answer a request list as one ``(rows, metrics)`` array.
 
-    def cache_clear(self) -> None:
-        """Drop every cached prediction."""
-        with self._lock:
-            self._cache.clear()
+        Columns follow ``served.metric_names``. Rows are grouped by
+        state and each group is one ``FrozenModel.predict`` per metric
+        on its stacked rows in request order, so every answer is
+        bit-identical to that call.
+        """
+        started = time.perf_counter()
+        x, states = _check_rows(served, x, states)
+        out = self._compute(served, x, states)
+        n = x.shape[0]
+        if n:
+            self.metrics.record_request(
+                (time.perf_counter() - started) / n, count=n
+            )
+        return out
 
-    def invalidate(self, name: str) -> None:
-        """Drop cached predictions of every version of ``name``."""
-        with self._lock:
-            stale = [key for key in self._cache if key[0] == name]
-            for key in stale:
-                del self._cache[key]
+    def predict_many(
+        self,
+        served: ServedModel,
+        x: np.ndarray,
+        states: Sequence[int],
+    ) -> List[PredictionResult]:
+        """:meth:`predict_array` as one :class:`PredictionResult` per row."""
+        out = self.predict_array(served, x, states)
+        return results_from_columns(
+            served.metric_names, served.version, out.T
+        )
 
-    @property
-    def cache_size(self) -> int:
-        """Number of cached predictions currently held."""
-        with self._lock:
-            return len(self._cache)
-
-    # -- validation -----------------------------------------------------
+    # -- streaming path -------------------------------------------------
     @staticmethod
     def _check_request(
         served: ServedModel, x: np.ndarray, state: int
     ) -> np.ndarray:
-        x = np.asarray(x, dtype=float).reshape(-1)
-        if x.shape[0] != served.basis.n_variables:
+        """Validate one sample vector with the bulk path's check."""
+        x = np.asarray(x, dtype=float)
+        if x.ndim != 1:
             raise ValueError(
-                f"request has {x.shape[0]} variables, model "
-                f"{served.name}@v{served.version} expects "
-                f"{served.basis.n_variables}"
+                f"x must be one sample vector, got shape {x.shape}"
             )
-        if not 0 <= int(state) < served.n_states:
-            raise IndexError(
-                f"state {state} out of range 0..{served.n_states - 1}"
-            )
+        _check_rows(served, x[None, :], [state])
         return x
 
-    # -- streaming path -------------------------------------------------
     def predict(
         self, served: ServedModel, x: np.ndarray, state: int
     ) -> PredictionResult:
         """Answer one request, coalescing with concurrent ones.
 
-        Blocks until the request's batch flushes — at most one
-        ``flush_interval`` after enqueueing (a full queue, another
+        The request is validated before it is queued, so a bad one
+        fails alone. Blocks until the request's batch flushes — at most
+        one ``flush_interval`` after enqueueing (a full queue, another
         thread's flush or this thread's own timeout flush, whichever
         happens first).
         """
         started = time.perf_counter()
         x = self._check_request(served, x, int(state))
-        key = self._cache_key(served, x, int(state))
+        item = _Pending(served=served, x=x, state=int(state))
         with self._lock:
-            values = self._cache_get(key)
-            if values is not None:
-                result = PredictionResult(
-                    values=dict(values), cached=True, version=served.version
-                )
-                self.metrics.record_request(
-                    time.perf_counter() - started, cache_hit=True
-                )
-                return result
-            leader = self._inflight.get(key)
-            item = _Pending(served=served, x=x, state=int(state), key=key)
-            if leader is not None:
-                leader.followers.append(item)
-            else:
-                self._inflight[key] = item
-                self._queue.append(item)
+            self._queue.append(item)
             flush_now = (
                 len(self._queue) >= self.batch.max_batch_size
                 or self.batch.flush_interval == 0.0
@@ -312,165 +310,40 @@ class PredictionEngine:
             self.flush()
         if item.error is not None:
             raise item.error
-        self.metrics.record_request(
-            time.perf_counter() - started, cache_hit=item.result.cached
-        )
-        return item.result
+        self.metrics.record_request(time.perf_counter() - started)
+        return results_from_columns(
+            served.metric_names, served.version, item.row.T
+        )[0]
 
     def flush(self) -> int:
-        """Drain the queue now; returns how many requests were answered."""
+        """Drain the queue now; returns how many requests were answered.
+
+        Each served model's queued rows go through the bulk path's
+        computation as one request list.
+        """
         with self._lock:
-            pending = self._queue
-            self._queue = []
-        if not pending:
-            return 0
-        groups: Dict[Tuple[int, int], List[_Pending]] = {}
+            pending, self._queue = self._queue, []
+        by_model: Dict[int, List[_Pending]] = {}
         for item in pending:
-            groups.setdefault((id(item.served), item.state), []).append(item)
+            by_model.setdefault(id(item.served), []).append(item)
         answered = 0
-        for items in groups.values():
-            served, state = items[0].served, items[0].state
+        for items in by_model.values():
             try:
-                design = served.basis.expand(
-                    np.stack([item.x for item in items])
+                out = self._compute(
+                    items[0].served,
+                    np.stack([item.x for item in items]),
+                    np.array([item.state for item in items]),
                 )
-                outputs = served.predict_design(design, state)
             except Exception as error:  # propagate to every waiter
-                with self._lock:
-                    for item in items:
-                        self._inflight.pop(item.key, None)
                 for item in items:
                     item.error = error
-                    for follower in item.followers:
-                        follower.error = error
-                        follower.event.set()
                     item.event.set()
                 continue
-            self.metrics.record_batch(len(items))
-            with self._lock:
-                for j, item in enumerate(items):
-                    values = {
-                        metric: float(column[j])
-                        for metric, column in outputs.items()
-                    }
-                    self._cache_put(item.key, values)
-                    self._inflight.pop(item.key, None)
-                    item.result = PredictionResult(
-                        values=values, cached=False,
-                        version=served.version,
-                    )
-            for item in items:
-                for follower in item.followers:
-                    follower.result = PredictionResult(
-                        values=dict(item.result.values),
-                        cached=True,
-                        version=served.version,
-                    )
-                    follower.event.set()
-                    answered += 1
+            for j, item in enumerate(items):
+                item.row = out[j:j + 1]
                 item.event.set()
-                answered += 1
+            answered += len(items)
         return answered
 
-    # -- bulk path ------------------------------------------------------
-    def predict_many(
-        self,
-        served: ServedModel,
-        x: np.ndarray,
-        states: Sequence[int],
-    ) -> List[PredictionResult]:
-        """Answer a request list with one matmul per (model, state) group.
-
-        Rows are deduplicated on their quantized cache key, so repeated
-        points cost one computation; within a group, first occurrences
-        are computed in request order — the answers are bit-identical to
-        ``FrozenModel.predict`` on the same deduplicated stacked matrix.
-        """
-        started = time.perf_counter()
-        x = check_matrix(x, "x", shape=(None, served.basis.n_variables))
-        states = np.asarray(states, dtype=int)
-        if states.shape != (x.shape[0],):
-            raise ValueError(
-                f"got {x.shape[0]} rows but {states.shape} states"
-            )
-        n = x.shape[0]
-        if n == 0:
-            return []
-        for state in np.unique(states):
-            if not 0 <= state < served.n_states:
-                raise IndexError(
-                    f"state {state} out of range 0..{served.n_states - 1}"
-                )
-        results: List[Optional[PredictionResult]] = [None] * n
-        # Scan: answer cache hits, dedupe misses per state in first-seen
-        # order. positions[state] maps each unique key to request indices.
-        # Quantization is vectorized over the whole matrix up front; the
-        # per-request work is a bytes slice and dict lookups.
-        rounded = np.ascontiguousarray(
-            np.round(x, self.cache.decimals) + 0.0
-        )
-        prefix = (served.name, served.version)
-        state_list = [int(state) for state in states]
-        rows: Dict[int, List[int]] = {}
-        order: Dict[int, Dict[Tuple, int]] = {}
-        positions: Dict[int, List[List[int]]] = {}
-        hits = 0
-        version = served.version
-        with self._lock:
-            cache = self._cache
-            cache_enabled = self.cache.enabled
-            for i in range(n):
-                state = state_list[i]
-                key = prefix + (state, rounded[i].tobytes())
-                if cache_enabled:
-                    values = cache.get(key)
-                    if values is not None:
-                        cache.move_to_end(key)
-                        results[i] = PredictionResult(
-                            values=dict(values), cached=True,
-                            version=version,
-                        )
-                        hits += 1
-                        continue
-                seen = order.setdefault(state, {})
-                slot = seen.get(key)
-                if slot is None:
-                    seen[key] = len(seen)
-                    rows.setdefault(state, []).append(i)
-                    positions.setdefault(state, []).append([i])
-                else:
-                    positions[state][slot].append(i)
-                    hits += 1
-        for state, row_indices in rows.items():
-            design = served.basis.expand(x[np.asarray(row_indices)])
-            outputs = served.predict_design(design, state)
-            self.metrics.record_batch(len(row_indices))
-            keys = list(order[state])
-            with self._lock:
-                for j, key in enumerate(keys):
-                    values = {
-                        metric: float(column[j])
-                        for metric, column in outputs.items()
-                    }
-                    self._cache_put(key, values)
-                    first, *rest = positions[state][j]
-                    results[first] = PredictionResult(
-                        values=values, cached=False, version=served.version
-                    )
-                    for i in rest:
-                        results[i] = PredictionResult(
-                            values=dict(values), cached=True,
-                            version=served.version,
-                        )
-        elapsed = time.perf_counter() - started
-        per_request = elapsed / n
-        if hits:
-            self.metrics.record_request(per_request, True, count=hits)
-        if n - hits:
-            self.metrics.record_request(per_request, False, count=n - hits)
-        return results  # type: ignore[return-value]
-
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
-        return (
-            f"PredictionEngine(batch={self.batch}, cache={self.cache})"
-        )
+        return f"PredictionEngine(batch={self.batch})"

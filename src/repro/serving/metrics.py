@@ -3,9 +3,9 @@
 ``ServingMetrics`` is a thread-safe bag of counters the engine and
 service update on the hot path (a lock plus integer adds — cheap enough
 for a micro-benchmark loop) and a ``snapshot()`` that folds them into a
-plain dict: request/batch counts, cache hit rate, batch-size stats and
-p50/p95 latency. Latencies go into a bounded ring so a long-lived
-service cannot grow without bound.
+plain dict: request/batch counts, batch-size stats and p50/p95 latency.
+Latencies go into a bounded ring so a long-lived service cannot grow
+without bound.
 """
 
 from __future__ import annotations
@@ -21,8 +21,6 @@ __all__ = ["ServingMetrics", "aggregate_snapshots"]
 #: Snapshot fields that sum across processes.
 _ADDITIVE_FIELDS = (
     "requests",
-    "cache_hits",
-    "cache_misses",
     "batches",
     "batched_rows",
     "hot_swaps",
@@ -35,16 +33,15 @@ def aggregate_snapshots(
 ) -> Dict[str, Optional[float]]:
     """Fold per-process :meth:`ServingMetrics.snapshot` dicts into one.
 
-    Each shard worker owns a private ``PredictionEngine`` whose LRU
-    cache and ``ServingMetrics`` counters live in that process only —
-    a cluster report that showed a single shard's snapshot would
-    under-count every other shard's traffic. This helper sums the
-    additive counters (requests, cache hits/misses, batches, rows,
-    swaps) across *all* shards and recomputes the derived rates from
-    the sums. Latency percentiles are **not** mergeable from snapshots
-    (the raw windows stay in the workers), so ``p50_latency_ms`` /
-    ``p95_latency_ms`` come back ``None`` — read per-shard percentiles
-    from the individual snapshots instead.
+    Each shard worker owns a private ``PredictionEngine`` whose
+    ``ServingMetrics`` counters live in that process only — a cluster
+    report that showed a single shard's snapshot would under-count
+    every other shard's traffic. This helper sums the additive counters
+    (requests, batches, rows, swaps) across *all* shards and recomputes
+    the mean batch size from the sums. Latency percentiles are **not**
+    mergeable from snapshots (the raw windows stay in the workers), so
+    ``p50_latency_ms`` / ``p95_latency_ms`` come back ``None`` — read
+    per-shard percentiles from the individual snapshots instead.
     """
     out: Dict[str, Optional[float]] = {
         field: 0 for field in _ADDITIVE_FIELDS
@@ -54,8 +51,6 @@ def aggregate_snapshots(
         for field in _ADDITIVE_FIELDS:
             out[field] += int(snapshot.get(field) or 0)
         max_batch = max(max_batch, int(snapshot.get("max_batch_size") or 0))
-    lookups = out["cache_hits"] + out["cache_misses"]
-    out["cache_hit_rate"] = out["cache_hits"] / lookups if lookups else 0.0
     out["mean_batch_size"] = (
         out["batched_rows"] / out["batches"] if out["batches"] else 0.0
     )
@@ -84,8 +79,6 @@ class ServingMetrics:
         self._lock = threading.Lock()
         self._latencies = deque(maxlen=latency_window)
         self._requests = 0
-        self._cache_hits = 0
-        self._cache_misses = 0
         self._batches = 0
         self._batched_rows = 0
         self._max_batch = 0
@@ -93,20 +86,14 @@ class ServingMetrics:
         self._swap_failures = 0
 
     # ------------------------------------------------------------------
-    def record_request(
-        self, latency_s: float, cache_hit: bool, count: int = 1
-    ) -> None:
+    def record_request(self, latency_s: float, count: int = 1) -> None:
         """Count ``count`` requests sharing one observed latency."""
         with self._lock:
             self._requests += count
-            if cache_hit:
-                self._cache_hits += count
-            else:
-                self._cache_misses += count
             self._latencies.append(float(latency_s))
 
     def record_batch(self, size: int) -> None:
-        """Count one coalesced matmul over ``size`` unique rows."""
+        """Count one coalesced matmul over ``size`` rows."""
         with self._lock:
             self._batches += 1
             self._batched_rows += int(size)
@@ -135,18 +122,6 @@ class ServingMetrics:
         with self._lock:
             return self._requests
 
-    @property
-    def cache_hits(self) -> int:
-        """Requests answered from the cache (or in-flight coalescing)."""
-        with self._lock:
-            return self._cache_hits
-
-    def cache_hit_rate(self) -> float:
-        """Fraction of requests answered without a fresh matmul."""
-        with self._lock:
-            total = self._cache_hits + self._cache_misses
-            return self._cache_hits / total if total else 0.0
-
     def snapshot(self) -> Dict[str, Optional[float]]:
         """Fold every counter into one plain, JSON-friendly dict."""
         with self._lock:
@@ -154,14 +129,6 @@ class ServingMetrics:
             batches = self._batches
             out: Dict[str, Optional[float]] = {
                 "requests": self._requests,
-                "cache_hits": self._cache_hits,
-                "cache_misses": self._cache_misses,
-                "cache_hit_rate": (
-                    self._cache_hits
-                    / (self._cache_hits + self._cache_misses)
-                    if (self._cache_hits + self._cache_misses)
-                    else 0.0
-                ),
                 "batches": batches,
                 "batched_rows": self._batched_rows,
                 "mean_batch_size": (

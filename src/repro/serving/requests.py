@@ -1,31 +1,21 @@
-"""Request/response types and cache-key quantization for the serving layer.
+"""Request/response types of the serving layer.
 
 A prediction request is a raw sample vector ``x`` plus a knob ``state``;
-the engine answers with one value per served metric. Cache keys quantize
-``x`` so that float noise below the configured resolution maps to the
-same bucket — two requests that agree to ``decimals`` digits share one
-cached prediction.
+the engine answers with one value per served metric. Inside the serving
+stack answers travel as per-metric column arrays (engine → shard →
+gateway → client); :func:`results_from_columns` turns them into
+:class:`PredictionResult` rows once, in the public method that returns
+them.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, Tuple
+from typing import Dict, Iterable, List, Sequence
 
 import numpy as np
 
-__all__ = ["PredictionRequest", "PredictionResult", "quantize_key"]
-
-
-def quantize_key(x: np.ndarray, state: int, decimals: int) -> Tuple[int, bytes]:
-    """Hashable cache key for a request: the state plus quantized bytes.
-
-    ``np.round`` to ``decimals`` digits collapses sub-resolution float
-    noise (and signed zeros) into one bucket; ``tobytes`` then gives an
-    exact, hashable fingerprint of the rounded vector.
-    """
-    rounded = np.round(np.asarray(x, dtype=float), decimals) + 0.0
-    return (int(state), rounded.tobytes())
+__all__ = ["PredictionRequest", "PredictionResult", "results_from_columns"]
 
 
 @dataclass(frozen=True)
@@ -45,13 +35,32 @@ class PredictionRequest:
 class PredictionResult:
     """Engine answer for one request.
 
-    ``values`` maps metric name to the predicted float. ``cached`` is
-    True when the answer came from the LRU cache (or from coalescing
-    with an identical in-flight request) rather than a fresh matmul.
-    ``version`` records which model version produced the numbers, so
-    hot-swap tests can assert old-or-new atomicity.
+    ``values`` maps metric name to the predicted float. ``version``
+    records which model version produced the numbers, so hot-swap tests
+    can assert old-or-new atomicity. ``cached`` is always ``False``:
+    every row is computed (serving traffic does not repeat rows, so
+    there is no result cache). The field stays because callers read
+    it, among them the repository benchmark (``perfbench/serveload.py``
+    counts it as ``engine.cache_hit_ratio``).
     """
 
     values: Dict[str, float] = field(default_factory=dict)
     cached: bool = False
     version: int = 0
+
+
+def results_from_columns(
+    metrics: Sequence[str], version: int, columns: Iterable[np.ndarray]
+) -> List[PredictionResult]:
+    """One :class:`PredictionResult` per row of per-metric ``columns``.
+
+    ``columns`` holds one equal-length 1-D array per entry of
+    ``metrics``, in the same order.
+    """
+    names = list(metrics)
+    version = int(version)
+    rows = zip(*(np.asarray(col, dtype=float).tolist() for col in columns))
+    return [
+        PredictionResult(values=dict(zip(names, row)), version=version)
+        for row in rows
+    ]

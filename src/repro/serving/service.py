@@ -10,9 +10,8 @@ Hot swap: ``load``/``swap`` build the replacement ``ServedModel`` fully
 *before* publishing it under the service lock, and every in-flight batch
 computes against the reference it captured at enqueue time — so under a
 concurrent swap each request is answered entirely by the old or entirely
-by the new version, never a mixture. Swapping also invalidates the old
-version's cache entries (the version-qualified cache keys already make
-them unreachable; invalidation just frees the space).
+by the new version, never a mixture. Nothing is cached across requests,
+so a swap leaves no stale answers behind.
 
 Because the replacement is built fully before publication, a *failed*
 swap — corrupt artifact, checksum mismatch, missing basis — can never
@@ -30,12 +29,7 @@ from typing import Dict, List, Optional, Sequence
 import numpy as np
 
 from repro.errors import ServingError
-from repro.serving.engine import (
-    BatchConfig,
-    CacheConfig,
-    PredictionEngine,
-    ServedModel,
-)
+from repro.serving.engine import BatchConfig, PredictionEngine, ServedModel
 from repro.serving.metrics import ServingMetrics
 from repro.serving.registry import ModelRegistry, RegistryError
 from repro.serving.requests import PredictionRequest, PredictionResult
@@ -50,9 +44,9 @@ class ModelService:
     ----------
     registry:
         The model store to resolve keys against.
-    batch, cache:
-        Engine configuration (see :class:`BatchConfig`,
-        :class:`CacheConfig`); defaults serve well-batched traffic.
+    batch:
+        Micro-batching of the streaming :meth:`predict` path (see
+        :class:`BatchConfig`); the defaults serve well-batched traffic.
     metrics:
         Optional shared :class:`ServingMetrics`; one is created if absent.
     """
@@ -61,14 +55,11 @@ class ModelService:
         self,
         registry: ModelRegistry,
         batch: Optional[BatchConfig] = None,
-        cache: Optional[CacheConfig] = None,
         metrics: Optional[ServingMetrics] = None,
     ) -> None:
         self.registry = registry
         self.metrics = metrics if metrics is not None else ServingMetrics()
-        self.engine = PredictionEngine(
-            metrics=self.metrics, batch=batch, cache=cache
-        )
+        self.engine = PredictionEngine(metrics=self.metrics, batch=batch)
         self._lock = threading.RLock()
         self._served: Dict[str, ServedModel] = {}
 
@@ -131,7 +122,6 @@ class ModelService:
             swapping = served.name in self._served
             self._served[served.name] = served
         if swapping:
-            self.engine.invalidate(served.name)
             self.metrics.record_hot_swap()
         return served
 
@@ -149,12 +139,11 @@ class ModelService:
         return self.load(key, alias=alias, fault_plan=fault_plan)
 
     def unload(self, name: str) -> None:
-        """Stop serving ``name`` and drop its cached predictions."""
+        """Stop serving ``name``."""
         with self._lock:
             if name not in self._served:
                 raise KeyError(f"{name!r} is not being served")
             del self._served[name]
-        self.engine.invalidate(name)
 
     def served_model(self, name: str) -> ServedModel:
         """The currently-installed model version behind ``name``."""

@@ -2,10 +2,13 @@
 
 from __future__ import annotations
 
+import asyncio
+
 import numpy as np
 import pytest
 
 from repro.cluster import ClusterConfig, ClusterService
+from repro.cluster.protocol import decode_results
 from repro.errors import ServingError
 from repro.serving import ModelRegistry
 from repro.serving.metrics import aggregate_snapshots
@@ -256,6 +259,50 @@ class TestValidation:
             cluster.predict_many(
                 "alpha", design, [0] * len(design), deadline_s=0.0
             )
+
+    @pytest.mark.parametrize("defect", ["nan", "too-wide"])
+    def test_bad_request_fails_alone_when_coalesced(
+        self, cluster_registry, cluster_modelset, design, defect
+    ):
+        """Regression: two same-key requests coalesced into one shard
+        frame. A NaN row failed both with ``ServingError``; a row one
+        column too wide killed the shard's sender, so both and every
+        later request expired on their deadlines."""
+        if defect == "nan":
+            bad = design.copy()
+            bad[2, 1] = np.nan
+        else:
+            bad = np.hstack([design, design[:, :1]])
+        states = np.zeros(len(design), dtype=np.int64)
+        service = ClusterService(
+            cluster_registry,
+            keys=["alpha@v1"],
+            config=ClusterConfig(n_shards=1),
+        )
+        with service:
+            async def coalesced():
+                # Queued back to back on the gateway loop: the shard's
+                # sender sees both in its queue and joins them.
+                return await asyncio.gather(
+                    service._predict_async("alpha", design, states, 5.0),
+                    service._predict_async("alpha", bad, states, 5.0),
+                    return_exceptions=True,
+                )
+
+            good, failed = service._run(coalesced())
+            assert isinstance(failed, ValueError)
+            direct = cluster_modelset.predict(design, 0)
+            assert [r.values for r in decode_results(*good)] == [
+                {m: float(direct[m][row]) for m in direct}
+                for row in range(len(design))
+            ]
+            assert not any(
+                task.done() for task in service._shards[0].tasks
+            )
+            results = service.predict_many(
+                "alpha", design, states, deadline_s=5.0
+            )
+            assert len(results) == len(design)
 
     def test_not_started(self, cluster_registry):
         service = ClusterService(cluster_registry, keys=["alpha@v1"])

@@ -30,7 +30,7 @@ from repro.cluster import (
 )
 from repro.errors import ServingError
 from repro.faults import FaultPlan
-from repro.serving import ModelRegistry
+from repro.serving import ModelRegistry, ModelService, PredictionEngine
 
 SPECS = ["nf_db<=1.6", "gain_db>=24"]
 
@@ -117,15 +117,38 @@ class TestPredictOverTcp:
         assert client.predict_many("lna", x, []) == []
 
     def test_matches_in_process_api(
-        self, client, net_cluster, design
+        self, client, net_cluster, net_registry, design
     ):
-        over_wire = client.predict_many("lna", design, [0] * len(design))
-        in_process = net_cluster.predict_many(
-            "lna", design, [0] * len(design)
-        )
-        assert [r.values for r in over_wire] == [
-            r.values for r in in_process
-        ]
+        """One request, every layer, the same numbers: each answer is
+        ``FrozenModel.predict`` on its state's stacked rows in request
+        order — repeated rows included, within and across states."""
+        x = design[[0, 1, 0, 2, 1, 0, 0, 3]]
+        states = [2, 0, 2, 0, 2, 0, 1, 2]
+        _, models, basis = net_registry.load_models("lna@v1")
+        expected = {}
+        for state in set(states):
+            rows = [i for i, s in enumerate(states) if s == state]
+            design_rows = basis.expand(x[rows])
+            for metric, frozen in models.items():
+                column = frozen.predict(design_rows, state)
+                for row, value in zip(rows, column):
+                    expected.setdefault(row, {})[metric] = value
+
+        service = ModelService(net_registry)
+        service.load("lna@v1")
+        layers = {
+            "engine": PredictionEngine().predict_many(
+                service.served_model("lna"), x, states
+            ),
+            "service": service.predict_many("lna", x, states),
+            "cluster": net_cluster.predict_many("lna", x, states),
+            "tcp": client.predict_many("lna", x, states),
+        }
+        for layer, results in layers.items():
+            assert [r.values for r in results] == [
+                expected[row] for row in range(len(states))
+            ], layer
+            assert not any(r.cached for r in results), layer
 
     def test_concurrent_clients(
         self, listener, cluster_modelset, design
@@ -194,6 +217,18 @@ class TestErrorTaxonomy:
     def test_states_mismatch_is_value_error(self, client, design):
         with pytest.raises(ValueError, match="states"):
             client.predict_many("lna", design, [0])
+
+    def test_bad_rows_are_value_errors(self, client, design):
+        """Regression: non-finite or wrong-width rows crossed the wire as
+        ``ServingError`` from the shard instead of being refused."""
+        bad = design.copy()
+        bad[1, 0] = np.inf
+        with pytest.raises(ValueError, match="non-finite"):
+            client.predict_many("lna", bad, [0] * len(design))
+        wide = np.hstack([design, design[:, :1]])
+        with pytest.raises(ValueError, match="variables"):
+            client.predict_many("lna", wide, [0] * len(design))
+        assert len(client.predict_many("lna", design, [0] * 5)) == 5
 
     def test_nonpositive_deadline_is_value_error(self, client, design):
         with pytest.raises(ValueError, match="deadline"):

@@ -13,6 +13,7 @@ import pytest
 from repro.cluster.protocol import (
     MAX_FRAME_BYTES,
     ProtocolError,
+    decode_results,
     read_frame,
     read_frame_async,
     send_frame,
@@ -230,6 +231,34 @@ class TestUntrustedHeaders:
         self._send_raw(left, b"[1, 2, 3]", b"")
         with pytest.raises(ProtocolError, match="object"):
             read_frame(right)
+
+
+class TestResultFrames:
+    def test_one_column_per_metric(self):
+        header = {"kind": "result", "metrics": ["a", "b"], "version": 3}
+        results = decode_results(
+            header, [np.array([1.0, 2.0]), np.array([3.0, 4.0])]
+        )
+        assert [r.values for r in results] == [
+            {"a": 1.0, "b": 3.0}, {"a": 2.0, "b": 4.0},
+        ]
+        assert {r.version for r in results} == {3}
+        assert not any(r.cached for r in results)
+
+    @pytest.mark.parametrize(
+        "columns",
+        [
+            # A trailing per-row flag column: one column too many.
+            [np.ones(2), np.ones(2), np.zeros(2, dtype=np.uint8)],
+            [np.ones(2)],
+            [np.ones(2), np.ones(3)],
+            [np.ones(2), np.ones((2, 1))],
+        ],
+    )
+    def test_column_mismatch_rejected(self, columns):
+        header = {"kind": "result", "metrics": ["a", "b"], "version": 1}
+        with pytest.raises(ProtocolError, match="columns"):
+            decode_results(header, columns)
 
 
 class TestPropertyRoundTrip:

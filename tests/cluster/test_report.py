@@ -8,12 +8,9 @@ from repro.cluster import ClusterMetrics, format_cluster_report
 from repro.serving.metrics import aggregate_snapshots
 
 
-def _engine_snapshot(requests, hits, misses, batches, rows):
+def _engine_snapshot(requests, batches, rows):
     return {
         "requests": requests,
-        "cache_hits": hits,
-        "cache_misses": misses,
-        "cache_hit_rate": hits / (hits + misses) if hits + misses else 0.0,
         "batches": batches,
         "batched_rows": rows,
         "mean_batch_size": rows / batches if batches else 0.0,
@@ -108,27 +105,27 @@ class TestFormatClusterReport:
         """Regression: the aggregate line is the fleet total, not
         shard 0's private counters."""
         engines = [
-            _engine_snapshot(10, 6, 4, 2, 10),
-            _engine_snapshot(30, 0, 30, 5, 30),
+            _engine_snapshot(10, 2, 10),
+            _engine_snapshot(30, 5, 30),
         ]
         report = format_cluster_report(
             ClusterMetrics().snapshot(), engine_snapshots=engines
         )
         total = aggregate_snapshots(engines)
         assert total["requests"] == 40
-        assert total["cache_hits"] == 6
+        assert total["batches"] == 7
         assert "ENGINES (2 shards)" in report
         assert "shard 0: requests=10" in report
         assert "shard 1: requests=30" in report
-        assert "aggregate: requests=40 cache_hits=6" in report
+        assert "aggregate: requests=40 batches=7 rows=40" in report
 
-    def test_aggregate_hit_rate_recomputed_from_sums(self):
+    def test_aggregate_mean_batch_recomputed_from_sums(self):
         engines = [
-            _engine_snapshot(10, 10, 0, 1, 10),   # 100% hit rate
-            _engine_snapshot(90, 0, 90, 9, 90),   # 0% hit rate
+            _engine_snapshot(10, 1, 10),   # mean batch 10
+            _engine_snapshot(90, 90, 90),  # mean batch 1
         ]
         total = aggregate_snapshots(engines)
-        # 10 hits of 100 lookups — not the 50% a naive mean would give.
-        assert total["cache_hit_rate"] == pytest.approx(0.1)
+        # 100 rows in 91 batches — not the 5.5 a naive mean would give.
+        assert total["mean_batch_size"] == pytest.approx(100 / 91)
         assert total["p50_latency_ms"] is None
         assert total["n_processes"] == 2

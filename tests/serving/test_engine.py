@@ -1,18 +1,14 @@
-"""Tests for the micro-batching prediction engine and its LRU cache."""
+"""Tests for the micro-batching prediction engine."""
 
 import threading
+import time
 
 import numpy as np
 import pytest
 
 from repro.basis.polynomial import LinearBasis
 from repro.core.frozen import FrozenModel
-from repro.serving import (
-    BatchConfig,
-    CacheConfig,
-    PredictionEngine,
-    ServedModel,
-)
+from repro.serving import BatchConfig, PredictionEngine, ServedModel
 
 
 def make_served(
@@ -106,6 +102,50 @@ class TestSingleRequests:
         with pytest.raises(ValueError):
             engine.predict(served, np.zeros(3), 0)
 
+    def test_matrix_shaped_x_rejected(self):
+        """Regression: a (2, 3) array was flattened and answered as if
+        it were one 6-vector."""
+        served = make_served()
+        engine = PredictionEngine()
+        with pytest.raises(ValueError, match="one sample vector"):
+            engine.predict(served, np.zeros((2, 3)), 0)
+
+    def test_bad_request_fails_alone(self):
+        """Regression: a non-finite request was queued unchecked and its
+        flush failed every request coalesced with it."""
+        served = make_served()
+        engine = PredictionEngine(
+            batch=BatchConfig(max_batch_size=2, flush_interval=None)
+        )
+        x = np.linspace(-1.0, 1.0, 6)
+        results = {}
+
+        def good():
+            results["good"] = engine.predict(served, x, 2)
+
+        worker = threading.Thread(target=good, daemon=True)
+        worker.start()
+        deadline = time.monotonic() + 10.0
+        while not engine._queue and time.monotonic() < deadline:
+            time.sleep(0.001)
+        assert len(engine._queue) == 1
+        bad = x.copy()
+        bad[3] = np.nan
+        with pytest.raises(ValueError, match="non-finite"):
+            engine.predict(served, bad, 2)
+        assert len(engine._queue) == 1  # the bad call was not queued
+        with pytest.raises(ValueError):
+            engine.predict(served, x.reshape(2, 3), 2)
+        assert len(engine._queue) == 1
+        assert engine.flush() == 1
+        worker.join(timeout=10.0)
+        assert not worker.is_alive()
+        design = served.basis.expand(x[None, :])
+        for metric, frozen in served.models.items():
+            assert results["good"].values[metric] == float(
+                frozen.predict(design, 2)[0]
+            )
+
 
 class TestMicroBatching:
     def test_bulk_equals_one_by_one(self):
@@ -116,13 +156,12 @@ class TestMicroBatching:
         states = rng.integers(0, served.n_states, n)
 
         one_by_one = PredictionEngine(
-            batch=BatchConfig(max_batch_size=1, flush_interval=0.0),
-            cache=CacheConfig(capacity=0),
+            batch=BatchConfig(max_batch_size=1, flush_interval=0.0)
         )
         singles = [
             one_by_one.predict(served, x[i], states[i]) for i in range(n)
         ]
-        bulk = PredictionEngine(cache=CacheConfig(capacity=0))
+        bulk = PredictionEngine()
         batched = bulk.predict_many(served, x, states)
         for single, many in zip(singles, batched):
             for metric in served.metric_names:
@@ -132,7 +171,7 @@ class TestMicroBatching:
 
     def test_one_matmul_per_state_group(self):
         served = make_served()
-        engine = PredictionEngine(cache=CacheConfig(capacity=0))
+        engine = PredictionEngine()
         rng = np.random.default_rng(5)
         x = rng.standard_normal((40, 6))
         states = np.repeat(np.arange(4), 10)
@@ -190,108 +229,38 @@ class TestMicroBatching:
             thread.start()
         for thread in threads:
             thread.join(timeout=10.0)
-        values = {r.values["nf_db"] for r in results}
-        assert len(values) == 1
-        assert engine.metrics.snapshot()["requests"] == 4
-
-
-class TestCache:
-    def test_hit_accounting(self):
-        served = make_served()
-        engine = PredictionEngine(
-            batch=BatchConfig(max_batch_size=1, flush_interval=0.0)
-        )
-        x = np.linspace(-1.0, 1.0, 6)
-        first = engine.predict(served, x, 2)
-        second = engine.predict(served, x, 2)
-        assert not first.cached
-        assert second.cached
-        assert second.values == first.values
+        # Coalesced, not deduplicated: every request is its own row.
+        assert len(results) == 4
+        reference = direct(served, x, 1)
+        for result in results:
+            assert not result.cached
+            for metric, value in reference.items():
+                assert result.values[metric] == pytest.approx(
+                    value, rel=1e-12, abs=1e-12
+                )
         snapshot = engine.metrics.snapshot()
-        assert snapshot["cache_hits"] == 1
-        assert snapshot["cache_misses"] == 1
-        assert snapshot["cache_hit_rate"] == 0.5
+        assert snapshot["requests"] == 4
+        assert snapshot["batched_rows"] == 4
 
-    def test_distinct_states_are_distinct_entries(self):
-        served = make_served()
-        engine = PredictionEngine(
-            batch=BatchConfig(max_batch_size=1, flush_interval=0.0)
-        )
-        x = np.zeros(6)
-        engine.predict(served, x, 0)
-        result = engine.predict(served, x, 1)
-        assert not result.cached
-
-    def test_quantization_buckets_close_inputs(self):
-        served = make_served()
-        engine = PredictionEngine(
-            batch=BatchConfig(max_batch_size=1, flush_interval=0.0),
-            cache=CacheConfig(capacity=16, decimals=6),
-        )
-        x = np.full(6, 0.123456701)
-        engine.predict(served, x, 0)
-        nudged = engine.predict(served, x + 1e-10, 0)
-        assert nudged.cached
-
-    def test_lru_eviction(self):
-        served = make_served()
-        engine = PredictionEngine(
-            batch=BatchConfig(max_batch_size=1, flush_interval=0.0),
-            cache=CacheConfig(capacity=2),
-        )
-        a, b, c = np.zeros(6), np.ones(6), np.full(6, 2.0)
-        engine.predict(served, a, 0)
-        engine.predict(served, b, 0)
-        engine.predict(served, c, 0)  # evicts a
-        assert engine.cache_size == 2
-        assert not engine.predict(served, a, 0).cached
-
-    def test_capacity_zero_disables(self):
-        served = make_served()
-        engine = PredictionEngine(
-            batch=BatchConfig(max_batch_size=1, flush_interval=0.0),
-            cache=CacheConfig(capacity=0),
-        )
-        x = np.zeros(6)
-        engine.predict(served, x, 0)
-        assert not engine.predict(served, x, 0).cached
-        assert engine.cache_size == 0
-
-    def test_bulk_duplicate_rows_served_from_one_computation(self):
+    def test_repeated_rows_are_each_computed(self):
         served = make_served()
         engine = PredictionEngine()
-        x = np.tile(np.linspace(0.0, 1.0, 6), (5, 1))
-        results = engine.predict_many(served, x, [3] * 5)
-        assert not results[0].cached
-        assert all(result.cached for result in results[1:])
-        values = {result.values["gain_db"] for result in results}
-        assert len(values) == 1
-        assert engine.metrics.snapshot()["batches"] == 1
-
-    def test_invalidate_by_name(self):
-        served = make_served()
-        other = make_served(version=1, seed=9, name="other")
-        engine = PredictionEngine(
-            batch=BatchConfig(max_batch_size=1, flush_interval=0.0)
-        )
-        engine.predict(served, np.zeros(6), 0)
-        engine.predict(other, np.zeros(6), 0)
-        engine.invalidate("lna")
-        assert engine.cache_size == 1
-        assert not engine.predict(served, np.zeros(6), 0).cached
-        assert engine.predict(other, np.zeros(6), 0).cached
-
-    def test_version_qualifies_cache_key(self):
-        v1 = make_served(version=1)
-        v2 = make_served(version=2, seed=42)
-        engine = PredictionEngine(
-            batch=BatchConfig(max_batch_size=1, flush_interval=0.0)
-        )
-        x = np.zeros(6)
-        r1 = engine.predict(v1, x, 0)
-        r2 = engine.predict(v2, x, 0)
-        assert not r2.cached
-        assert r1.values != r2.values
+        row = np.linspace(0.0, 1.0, 6)
+        x = np.vstack([row, row, -row, row, -row])
+        states = [3, 3, 1, 1, 3]
+        results = engine.predict_many(served, x, states)
+        for state in (1, 3):
+            rows = [i for i, s in enumerate(states) if s == state]
+            design = served.basis.expand(x[rows])
+            for metric, frozen in served.models.items():
+                expected = frozen.predict(design, state)
+                assert [results[i].values[metric] for i in rows] == list(
+                    expected
+                )
+        assert not any(result.cached for result in results)
+        snapshot = engine.metrics.snapshot()
+        assert snapshot["batches"] == 2
+        assert snapshot["batched_rows"] == 5
 
 
 class TestConfigValidation:
@@ -300,10 +269,6 @@ class TestConfigValidation:
             BatchConfig(max_batch_size=0)
         with pytest.raises(ValueError):
             BatchConfig(flush_interval=-1.0)
-
-    def test_cache_config(self):
-        with pytest.raises(ValueError):
-            CacheConfig(capacity=-1)
 
 
 class TestFlushIntervalSemantics:
@@ -322,8 +287,7 @@ class TestFlushIntervalSemantics:
 
         served = make_served()
         engine = PredictionEngine(
-            batch=BatchConfig(max_batch_size=64, flush_interval=0.0),
-            cache=CacheConfig(capacity=0),
+            batch=BatchConfig(max_batch_size=64, flush_interval=0.0)
         )
         x = np.zeros(served.basis.n_variables)
         started = time.perf_counter()
@@ -334,8 +298,7 @@ class TestFlushIntervalSemantics:
     def test_none_interval_waits_for_size_or_explicit_flush(self):
         served = make_served()
         engine = PredictionEngine(
-            batch=BatchConfig(max_batch_size=2, flush_interval=None),
-            cache=CacheConfig(capacity=0),
+            batch=BatchConfig(max_batch_size=2, flush_interval=None)
         )
         x = np.zeros(served.basis.n_variables)
         results = {}

@@ -10,11 +10,10 @@ from repro.serving import ServingMetrics
 class TestCounters:
     def test_request_accounting(self):
         metrics = ServingMetrics()
-        metrics.record_request(0.001, cache_hit=False)
-        metrics.record_request(0.002, cache_hit=True, count=3)
+        metrics.record_request(0.001)
+        metrics.record_request(0.002, count=3)
         assert metrics.requests == 4
-        assert metrics.cache_hits == 3
-        assert metrics.cache_hit_rate() == 0.75
+        assert metrics.snapshot()["requests"] == 4
 
     def test_batch_accounting(self):
         metrics = ServingMetrics()
@@ -35,14 +34,13 @@ class TestCounters:
     def test_empty_snapshot(self):
         snapshot = ServingMetrics().snapshot()
         assert snapshot["requests"] == 0
-        assert snapshot["cache_hit_rate"] == 0.0
         assert snapshot["p50_latency_ms"] is None
         assert snapshot["p95_latency_ms"] is None
 
     def test_latency_percentiles(self):
         metrics = ServingMetrics()
         for millis in range(1, 101):
-            metrics.record_request(millis / 1000.0, cache_hit=False)
+            metrics.record_request(millis / 1000.0)
         snapshot = metrics.snapshot()
         assert snapshot["p50_latency_ms"] == pytest.approx(50.5, abs=1.0)
         assert snapshot["p95_latency_ms"] == pytest.approx(95.0, abs=1.0)
@@ -50,7 +48,7 @@ class TestCounters:
     def test_latency_window_bounded(self):
         metrics = ServingMetrics(latency_window=10)
         for _ in range(100):
-            metrics.record_request(1.0, cache_hit=False)
+            metrics.record_request(1.0)
         assert len(metrics._latencies) == 10
         assert metrics.requests == 100
 
@@ -63,7 +61,7 @@ class TestCounters:
 
         def worker():
             for _ in range(1000):
-                metrics.record_request(0.001, cache_hit=True)
+                metrics.record_request(0.001)
                 metrics.record_batch(2)
 
         threads = [threading.Thread(target=worker) for _ in range(4)]

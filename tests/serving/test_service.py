@@ -9,7 +9,6 @@ import pytest
 from repro.core.frozen import FrozenModel
 from repro.serving import (
     BatchConfig,
-    CacheConfig,
     ModelService,
     PredictionRequest,
     RegistryError,
@@ -93,21 +92,6 @@ class TestHotSwap:
         assert service.served_model("lna").version == 2
         assert service.metrics.snapshot()["hot_swaps"] == 1
 
-    def test_swap_invalidates_cache(
-        self, registry, pushed, served_modelset, lna_dataset
-    ):
-        registry.push("lna", served_modelset)
-        service = ModelService(
-            registry,
-            batch=BatchConfig(max_batch_size=1, flush_interval=0.0),
-        )
-        service.load("lna@v1")
-        x = np.zeros(lna_dataset.n_variables)
-        service.predict("lna", x, 0)
-        service.swap("lna@v2")
-        assert service.engine.cache_size == 0
-        assert not service.predict("lna", x, 0).cached
-
     def test_concurrent_swap_never_mixes_versions(
         self, registry, served_modelset, lna_dataset
     ):
@@ -132,7 +116,6 @@ class TestHotSwap:
         service = ModelService(
             registry,
             batch=BatchConfig(max_batch_size=4, flush_interval=0.0005),
-            cache=CacheConfig(capacity=0),
         )
         service.load("lna@v1")
         x = np.random.default_rng(2).standard_normal(

@@ -160,7 +160,6 @@ class TestServeBench:
         out = capsys.readouterr().out
         assert "pushed lna@v1" in out
         assert "bit-identical       True" in out
-        assert "cache hit rate" in out
         assert "speedup" in out
 
 
