@@ -42,7 +42,17 @@ import socket
 import threading
 import time
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import (
+    Any,
+    Awaitable,
+    Callable,
+    Dict,
+    List,
+    Optional,
+    Sequence,
+    Tuple,
+    Union,
+)
 
 import numpy as np
 
@@ -222,6 +232,27 @@ class _PredictItem:
         """Row count of the request."""
         return int(self.x.shape[0])
 
+    @property
+    def charge(self) -> int:
+        """What its failure counts in the metrics: its rows."""
+        return self.n
+
+
+@dataclass
+class _Waiter:
+    """A yield or control frame awaiting its reply in ``handle.pending``.
+
+    It holds no rows. ``charge`` is what its failure counts in the
+    metrics: one request under ``key`` for a yield, nothing for a
+    control frame (``key`` is ``None``).
+    """
+
+    id: int
+    key: Optional[str]
+    charge: int
+    future: asyncio.Future
+    n = 0  # rows in flight
+
 
 @dataclass
 class _ControlItem:
@@ -249,7 +280,7 @@ class _ShardHandle:
         self.queue: Optional[asyncio.Queue] = None
         self.carry = None
         self.tasks: List[asyncio.Task] = []
-        self.pending: Dict[int, _PredictItem] = {}
+        self.pending: Dict[int, Union[_PredictItem, _Waiter]] = {}
         self.pending_rows = 0
         self.respawns = 0
         self.alive = False
@@ -535,7 +566,12 @@ class ClusterService:
             raise ValueError("x contains non-finite values")
         started = time.perf_counter()
         reply, served_by = await self._submit(
-            key, x, states, time.monotonic() + deadline_s
+            key,
+            time.monotonic() + deadline_s,
+            x.shape[0],
+            lambda handle, expiry: self._attempt_predict(
+                handle, key, x, states, expiry
+            ),
         )
         self.metrics.record_batch(
             served_by, key, x.shape[0],
@@ -593,14 +629,19 @@ class ClusterService:
         """Loop-side yield report: parse specs, submit with failover."""
         parsed = _parse_specs(specs)
         key = self._choose_version(name)
-        reply = await self._submit_yield(
+        reply, _ = await self._submit(
             key,
-            parsed,
-            int(n_samples),
-            int(seed),
-            float(confidence),
             time.monotonic() + deadline_s,
+            1,
+            lambda handle, expiry: self._attempt_yield(
+                handle, key, parsed, int(n_samples), int(seed),
+                float(confidence), expiry,
+            ),
         )
+        if not (
+            isinstance(reply, dict) and reply.get("kind") == "yield-result"
+        ):
+            raise ServingError(f"unexpected yield reply {reply!r}")
         if states is not None:
             index = [int(s) for s in states]
             report = reply["report"]
@@ -619,8 +660,8 @@ class ClusterService:
         """Per-shard engine/metrics digests fetched over the wire.
 
         One entry per *live* shard (sorted by index), each carrying the
-        worker's ``ServingMetrics`` snapshot, cache size, pid and store
-        PSS numbers. Dead shards are skipped.
+        worker's ``ServingMetrics`` snapshot (latency histogram
+        included), pid and store numbers. Dead shards are skipped.
         """
         self._require_started()
         return self._run(self._collect_metrics())
@@ -832,6 +873,9 @@ class ClusterService:
         loop = asyncio.get_running_loop()
         await loop.run_in_executor(None, process.start)
         child.close()
+        # Owned by the handle before the handshake, so a stop() that
+        # cancels a respawn mid-handshake still reaps the new worker.
+        handle.process = process
         reader, writer = await asyncio.open_connection(sock=parent)
         try:
             ready, _ = await asyncio.wait_for(
@@ -850,7 +894,6 @@ class ClusterService:
                 f"shard {handle.index} sent {ready.get('kind')!r} "
                 "instead of the ready handshake"
             )
-        handle.process = process
         handle.sock = parent
         handle.reader = reader
         handle.writer = writer
@@ -883,22 +926,20 @@ class ClusterService:
         pid = (
             handle.process.pid if handle.process is not None else None
         )
+        # Every live request is pending, whether sent, carried by the
+        # sender or still queued; the queue's other items are control
+        # frames and requests already abandoned on their deadline.
         crashed = list(handle.pending.values())
-        if handle.carry is not None and isinstance(
-            handle.carry, _PredictItem
-        ):
-            crashed.append(handle.carry)
-        handle.carry = None
-        while handle.queue is not None and not handle.queue.empty():
-            item = handle.queue.get_nowait()
-            if isinstance(item, _PredictItem):
-                crashed.append(item)
         handle.pending.clear()
         handle.pending_rows = 0
+        handle.carry = None
+        while handle.queue is not None and not handle.queue.empty():
+            handle.queue.get_nowait()
         for item in crashed:
-            self.metrics.record_crash_failures(
-                handle.index, item.n, key=item.key
-            )
+            if item.charge:
+                self.metrics.record_crash_failures(
+                    handle.index, item.charge, key=item.key
+                )
             if not item.future.done():
                 item.future.set_exception(
                     ShardCrashError(
@@ -928,7 +969,7 @@ class ClusterService:
                 item = handle.pending.pop(header.get("id"), None)
                 if item is None:
                     continue  # deadline-abandoned or unknown
-                handle.pending_rows -= getattr(item, "n", 0) or 0
+                handle.pending_rows -= item.n
                 if item.future.done():
                     continue
                 kind = header.get("kind")
@@ -939,7 +980,7 @@ class ClusterService:
                     message = header.get("error", "shard error")
                     if etype == "deadline":
                         self.metrics.record_deadline_expired(
-                            handle.index, item.key, item.n
+                            handle.index, item.key, item.charge
                         )
                         item.future.set_exception(DeadlineError(message))
                     else:
@@ -1046,20 +1087,21 @@ class ClusterService:
     async def _submit(
         self,
         key: str,
-        x: np.ndarray,
-        states: np.ndarray,
         expiry: float,
-    ) -> Tuple[Tuple[Dict, List[np.ndarray]], int]:
-        """Submit one batch with replica failover; returns (the shard's
-        ``(header, columns)`` reply, serving shard index).
+        count: int,
+        attempt: Callable[[_ShardHandle, float], Awaitable[Any]],
+    ) -> Tuple[Any, int]:
+        """Run ``attempt(handle, attempt_expiry)`` with replica failover;
+        returns (its reply, serving shard index).
 
         Each attempt gets an equal slice of the remaining monotonic
         budget (the final attempt gets all of it), so a hung primary
         burns only its slice before the request moves to a replica. A
         :class:`ShardCrashError` fails over immediately; a
         :class:`DeadlineError` fails over while overall budget remains.
+        Each failover counts ``count`` (rows for a predict, 1 for a
+        yield).
         """
-        n = int(x.shape[0])
         candidates = self._candidates(key)
         if not candidates:
             raise ShardCrashError(
@@ -1067,24 +1109,21 @@ class ClusterService:
                 f"({self._key_replicas[key]}) exhausted its respawn "
                 f"budget ({self.config.max_respawns}); unservable"
             )
-        for attempt, handle in enumerate(candidates):
+        for tried, handle in enumerate(candidates):
             remaining = expiry - time.monotonic()
-            attempts_left = len(candidates) - attempt
+            attempts_left = len(candidates) - tried
             attempt_expiry = (
                 expiry
                 if attempts_left == 1
                 else time.monotonic() + remaining / attempts_left
             )
             try:
-                reply = await self._attempt_predict(
-                    handle, key, x, states, attempt_expiry
-                )
-                return reply, handle.index
+                return await attempt(handle, attempt_expiry), handle.index
             except (ShardCrashError, DeadlineError):
                 if attempts_left == 1 or expiry - time.monotonic() <= 0:
                     raise
                 self.metrics.record_failover(
-                    handle.index, candidates[attempt + 1].index, key, n
+                    handle.index, candidates[tried + 1].index, key, count
                 )
         raise AssertionError("unreachable")  # pragma: no cover
 
@@ -1128,57 +1167,6 @@ class ClusterService:
                 f"expired after {max(timeout, 0.0):.3f}s"
             ) from None
 
-    async def _submit_yield(
-        self,
-        key: str,
-        specs: List[Dict],
-        n_samples: int,
-        seed: int,
-        confidence: float,
-        expiry: float,
-    ) -> Dict:
-        """Ship one yield frame with replica failover; await the report.
-
-        Registered in ``handle.pending`` like a predict so a worker
-        death while the report is computing fails the attempt with
-        :class:`ShardCrashError` — which moves it to the next replica
-        instead of erroring out.
-        """
-        candidates = self._candidates(key)
-        if not candidates:
-            raise ShardCrashError(
-                f"every replica of {key!r} "
-                f"({self._key_replicas[key]}) exhausted its respawn "
-                f"budget ({self.config.max_respawns}); unservable"
-            )
-        for attempt, handle in enumerate(candidates):
-            remaining = expiry - time.monotonic()
-            attempts_left = len(candidates) - attempt
-            attempt_expiry = (
-                expiry
-                if attempts_left == 1
-                else time.monotonic() + remaining / attempts_left
-            )
-            try:
-                reply = await self._attempt_yield(
-                    handle, key, specs, n_samples, seed, confidence,
-                    attempt_expiry,
-                )
-            except (ShardCrashError, DeadlineError):
-                if attempts_left == 1 or expiry - time.monotonic() <= 0:
-                    raise
-                self.metrics.record_failover(
-                    handle.index, candidates[attempt + 1].index, key, 1
-                )
-                continue
-            if (
-                isinstance(reply, dict)
-                and reply.get("kind") == "yield-result"
-            ):
-                return reply
-            raise ServingError(f"unexpected yield reply {reply!r}")
-        raise AssertionError("unreachable")  # pragma: no cover
-
     async def _attempt_yield(
         self,
         handle: _ShardHandle,
@@ -1189,12 +1177,16 @@ class ClusterService:
         confidence: float,
         expiry: float,
     ) -> Dict:
-        item = _PredictItem(
+        """One replica attempt of a yield report: enqueue, bounded wait.
+
+        Registered in ``handle.pending`` like a predict, so a worker
+        death while the report is computing fails the attempt with
+        :class:`ShardCrashError` and moves it to the next replica.
+        """
+        item = _Waiter(
             id=next(self._ids),
             key=key,
-            x=np.empty((0, 1)),
-            states=np.empty(0, dtype=np.int64),
-            expiry=expiry,
+            charge=1,
             future=asyncio.get_event_loop().create_future(),
         )
         header = {
@@ -1232,12 +1224,10 @@ class ClusterService:
         handle = self._shards[index]
         if not handle.alive:
             raise ShardCrashError(f"shard {index} is down")
-        item = _PredictItem(
+        item = _Waiter(
             id=next(self._ids),
-            key=header.get("key", ""),
-            x=np.empty((0, 1)),
-            states=np.empty(0, dtype=np.int64),
-            expiry=time.monotonic() + self.config.start_timeout_s,
+            key=None,
+            charge=0,
             future=asyncio.get_event_loop().create_future(),
         )
         header = dict(header, id=item.id)

@@ -1,216 +1,130 @@
 """Cluster observability: per-shard and per-version gateway telemetry.
 
-The single-process :class:`~repro.serving.metrics.ServingMetrics` counts
-what one engine did; a cluster needs two more axes. ``ClusterMetrics``
-keeps, per **shard**, request/row counts, latency windows, shed and
-deadline-expiry counts, crash-failed requests and respawns — and, per
-**version key** (``name@vN``), the same traffic counters, which is what
-makes a canary split observable: the stable and canary versions of one
-name report separate latency percentiles and error counts, so a bad
-canary shows up in its own numbers before cutover.
+``ClusterMetrics`` keeps a :mod:`repro.obs` lane per **shard** and per
+**version key** (``name@vN``): requests, shed and deadline-expiry
+counts, crash failures, respawns, failovers and a latency histogram.
+The stable and canary versions of one name report separate quantiles
+and error counts, so a bad canary shows up in its own numbers before
+cutover.
 
 ``format_cluster_report`` renders the gateway snapshot plus the
 per-shard engine snapshots (fetched over the wire) into one text
-report; the engine counters are **summed across every shard** via
-:func:`repro.serving.metrics.aggregate_snapshots` — a report that
-showed only shard 0's private counters would under-count the rest of
-the fleet.
+report; its aggregate line sums every shard's engine counters and
+merges their latency histograms into the fleet's p50/p95/p99 (see
+:func:`repro.serving.metrics.aggregate_snapshots`).
 """
 
 from __future__ import annotations
 
-import threading
-from collections import deque
-from dataclasses import dataclass, field
-from typing import Deque, Dict, List, Optional, Sequence
+from typing import Dict, List, Optional, Sequence
 
-import numpy as np
-
+from repro.obs import Counters
 from repro.serving.metrics import aggregate_snapshots
 
 __all__ = ["ClusterMetrics", "format_cluster_report"]
-
-
-def _percentiles(latencies: Deque[float]) -> Dict[str, Optional[float]]:
-    """p50/p95/p99 of a latency window, in milliseconds."""
-    if not latencies:
-        return {
-            "p50_latency_ms": None,
-            "p95_latency_ms": None,
-            "p99_latency_ms": None,
-        }
-    values = np.fromiter(latencies, dtype=float)
-    p50, p95, p99 = np.percentile(values, (50.0, 95.0, 99.0))
-    return {
-        "p50_latency_ms": float(p50) * 1e3,
-        "p95_latency_ms": float(p95) * 1e3,
-        "p99_latency_ms": float(p99) * 1e3,
-    }
-
-
-@dataclass
-class _LaneStats:
-    """Counters of one observation lane (a shard or a version key)."""
-
-    requests: int = 0
-    rows: int = 0
-    shed: int = 0
-    deadline_expired: int = 0
-    crash_failures: int = 0
-    respawns: int = 0
-    failovers: int = 0
-    latencies: Deque[float] = field(default_factory=lambda: deque(maxlen=10_000))
-
-    def snapshot(self) -> Dict[str, Optional[float]]:
-        """Plain-dict digest including latency percentiles."""
-        out: Dict[str, Optional[float]] = {
-            "requests": self.requests,
-            "rows": self.rows,
-            "shed": self.shed,
-            "deadline_expired": self.deadline_expired,
-            "crash_failures": self.crash_failures,
-            "respawns": self.respawns,
-            "failovers": self.failovers,
-        }
-        out.update(_percentiles(self.latencies))
-        return out
 
 
 class ClusterMetrics:
     """Thread-safe per-shard / per-version counters for the gateway.
 
     Updates come from the gateway's event loop; reads may come from any
-    thread (CLI, benchmark, tests), hence the lock.
-
-    Parameters
-    ----------
-    latency_window:
-        Sliding-window size of each lane's latency deque.
+    thread (CLI, benchmark, tests). Every counter but ``respawns``
+    counts rows.
     """
 
-    def __init__(self, latency_window: int = 10_000) -> None:
-        if latency_window < 1:
-            raise ValueError(
-                f"latency_window must be >= 1, got {latency_window}"
-            )
-        self._window = latency_window
-        self._lock = threading.Lock()
-        self._shards: Dict[int, _LaneStats] = {}
-        self._versions: Dict[str, _LaneStats] = {}
-
-    def _shard(self, index: int) -> _LaneStats:
-        return self._shards.setdefault(
-            int(index),
-            _LaneStats(latencies=deque(maxlen=self._window)),
+    def __init__(self) -> None:
+        self._counters = Counters(
+            "requests",
+            "shed",
+            "deadline_expired",
+            "crash_failures",
+            "respawns",
+            "failovers",
         )
 
-    def _version(self, key: str) -> _LaneStats:
-        return self._versions.setdefault(
-            str(key),
-            _LaneStats(latencies=deque(maxlen=self._window)),
-        )
-
-    # ------------------------------------------------------------------
     def record_batch(
         self, shard: int, key: str, n: int, latency_s: float
     ) -> None:
-        """Count ``n`` answered requests sharing one observed latency."""
-        with self._lock:
-            for lane in (self._shard(shard), self._version(key)):
-                lane.requests += int(n)
-                lane.rows += int(n)
-                lane.latencies.append(float(latency_s))
+        """Count ``n`` answered rows sharing one observed latency."""
+        self._counters.add(
+            ("shard", shard), ("version", key),
+            latency_s=latency_s, requests=n,
+        )
 
     def record_shed(self, shard: int, key: str, n: int) -> None:
-        """Count ``n`` requests turned away by admission control."""
-        with self._lock:
-            self._shard(shard).shed += int(n)
-            self._version(key).shed += int(n)
+        """Count ``n`` rows turned away by admission control."""
+        self._counters.add(("shard", shard), ("version", key), shed=n)
 
     def record_deadline_expired(
         self, shard: int, key: str, n: int
     ) -> None:
-        """Count ``n`` requests whose deadline passed unanswered."""
-        with self._lock:
-            self._shard(shard).deadline_expired += int(n)
-            self._version(key).deadline_expired += int(n)
+        """Count ``n`` rows whose deadline passed unanswered."""
+        self._counters.add(
+            ("shard", shard), ("version", key), deadline_expired=n
+        )
 
     def record_crash_failures(
         self, shard: int, n: int, key: Optional[str] = None
     ) -> None:
-        """Count ``n`` in-flight requests failed by a shard death."""
-        with self._lock:
-            self._shard(shard).crash_failures += int(n)
-            if key is not None:
-                self._version(key).crash_failures += int(n)
+        """Count ``n`` in-flight rows failed by a shard death."""
+        versions = [] if key is None else [("version", key)]
+        self._counters.add(("shard", shard), *versions, crash_failures=n)
 
     def record_respawn(self, shard: int) -> None:
         """Count one dead-shard respawn."""
-        with self._lock:
-            self._shard(shard).respawns += 1
+        self._counters.add(("shard", shard), respawns=1)
 
     def record_failover(
         self, from_shard: int, to_shard: int, key: str, n: int
     ) -> None:
-        """Count ``n`` requests failed over from one replica to another.
+        """Count ``n`` rows failed over from one replica to another.
 
         Charged to the *abandoned* shard's lane (the replica that
         crashed, hung, or was already down) and to the version key —
         the receiving shard's traffic shows up through the ordinary
         :meth:`record_batch` call when the retry succeeds.
         """
-        with self._lock:
-            self._shard(from_shard).failovers += int(n)
-            self._shard(to_shard)  # materialize the receiving lane
-            self._version(key).failovers += int(n)
+        self._counters.add(("shard", to_shard))  # materialize its lane
+        self._counters.add(
+            ("shard", from_shard), ("version", key), failovers=n
+        )
 
-    # ------------------------------------------------------------------
+    def _total(self, name: str) -> int:
+        return sum(
+            lane.counts[name]
+            for (axis, _), lane in self._counters.lanes().items()
+            if axis == "shard"
+        )
+
     @property
     def total_shed(self) -> int:
-        """Requests turned away by admission control, all shards."""
-        with self._lock:
-            return sum(lane.shed for lane in self._shards.values())
+        """Rows turned away by admission control, all shards."""
+        return self._total("shed")
 
     @property
     def total_deadline_expired(self) -> int:
-        """Requests abandoned on their deadline, all shards."""
-        with self._lock:
-            return sum(
-                lane.deadline_expired for lane in self._shards.values()
-            )
+        """Rows abandoned on their deadline, all shards."""
+        return self._total("deadline_expired")
 
     @property
     def total_respawns(self) -> int:
         """Dead-shard respawns, all shards."""
-        with self._lock:
-            return sum(lane.respawns for lane in self._shards.values())
+        return self._total("respawns")
 
     @property
     def total_failovers(self) -> int:
-        """Requests failed over to a replica, all shards."""
-        with self._lock:
-            return sum(lane.failovers for lane in self._shards.values())
+        """Rows failed over to a replica, all shards."""
+        return self._total("failovers")
 
     def snapshot(self) -> Dict[str, Dict]:
         """Nested plain-dict digest: ``{"shards": …, "versions": …}``."""
-        with self._lock:
-            return {
-                "shards": {
-                    index: lane.snapshot()
-                    for index, lane in sorted(self._shards.items())
-                },
-                "versions": {
-                    key: lane.snapshot()
-                    for key, lane in sorted(self._versions.items())
-                },
-            }
-
-    def __repr__(self) -> str:  # pragma: no cover - cosmetic
-        with self._lock:
-            return (
-                f"ClusterMetrics(shards={sorted(self._shards)}, "
-                f"versions={sorted(self._versions)})"
+        out: Dict[str, Dict] = {"shards": {}, "versions": {}}
+        for (axis, name), lane in sorted(self._counters.lanes().items()):
+            out[axis + "s"][name] = dict(
+                lane.counts,
+                **lane.latency.quantiles_ms("latency", (50, 95, 99)),
             )
+        return out
 
 
 def _fmt_ms(value: Optional[float]) -> str:
@@ -301,6 +215,9 @@ def format_cluster_report(
         lines.append(
             f"  aggregate: requests={total['requests']} "
             f"batches={total['batches']} "
-            f"rows={total['batched_rows']}"
+            f"rows={total['batched_rows']} "
+            f"p50ms={_fmt_ms(total['p50_latency_ms'])} "
+            f"p95ms={_fmt_ms(total['p95_latency_ms'])} "
+            f"p99ms={_fmt_ms(total['p99_latency_ms'])}"
         )
     return "\n".join(lines)

@@ -26,9 +26,10 @@ socket:
     computation's peak allocation, so the caller can *prove* no
     MK × MK covariance was densified inside the worker.
 ``metrics``
-    Ships the engine's :meth:`ServingMetrics.snapshot` plus the
-    store-mapping PSS numbers, so the gateway can aggregate counters
-    across the fleet.
+    Ships the engine's :meth:`ServingMetrics.snapshot` — counters and
+    the latency histogram's buckets — plus the store-mapping PSS
+    numbers, so the gateway can sum counters and merge histograms into
+    fleet quantiles.
 ``load``
     Re-opens the store manifest (a canary export may have extended it)
     and installs a new key for serving.

@@ -1,152 +1,96 @@
-"""Telemetry for the streaming loop, mirroring ``ServingMetrics``.
+"""Telemetry for the streaming loop, on the same core as ``ServingMetrics``.
 
-One thread-safe bag of counters the :class:`StreamingService` updates
-per batch — batches seen/absorbed/quarantined, rows, drift scores,
-refits, registry pushes, swap outcomes — plus a bounded ring of absorb
-latencies for p50/p95, folded into a JSON-friendly ``snapshot()``.
+One :class:`~repro.obs.Counters` lane the :class:`StreamingService`
+updates per batch — batches seen/absorbed/quarantined, rows, drift
+scores, refits, registry pushes, swap outcomes — plus a log-bucketed
+histogram of absorb latencies for p50/p95, folded into a JSON-friendly
+``snapshot()``.
 """
 
 from __future__ import annotations
 
-import threading
-from collections import deque
 from typing import Dict, Optional
 
-import numpy as np
+from repro.obs import Counters
 
 __all__ = ["StreamingMetrics"]
 
 
 class StreamingMetrics:
-    """Thread-safe counters for the streaming subsystem.
+    """Thread-safe counters for the streaming subsystem."""
 
-    Parameters
-    ----------
-    latency_window:
-        How many of the most recent per-batch absorb latencies to keep
-        for the p50/p95 estimates.
-    """
+    def __init__(self) -> None:
+        self._counters = Counters(
+            "batches_seen",
+            "batches_absorbed",
+            "rows_absorbed",
+            "batches_quarantined",
+            "rows_quarantined",
+            "refits",
+            "pushes",
+            "swaps",
+            "swap_failures",
+            refit_seconds=0.0,
+            last_drift_score=None,
+            last_drift_smoothed=None,
+        )
 
-    def __init__(self, latency_window: int = 10_000) -> None:
-        if latency_window < 1:
-            raise ValueError(
-                f"latency_window must be >= 1, got {latency_window}"
-            )
-        self._lock = threading.Lock()
-        self._absorb_latencies = deque(maxlen=latency_window)
-        self._batches_seen = 0
-        self._batches_absorbed = 0
-        self._rows_absorbed = 0
-        self._batches_quarantined = 0
-        self._rows_quarantined = 0
-        self._refits = 0
-        self._refit_seconds = 0.0
-        self._pushes = 0
-        self._swaps = 0
-        self._swap_failures = 0
-        self._last_drift_score: Optional[float] = None
-        self._last_drift_smoothed: Optional[float] = None
-
-    # ------------------------------------------------------------------
     def record_batch_seen(self) -> None:
         """Count one batch pulled off the stream (before any verdict)."""
-        with self._lock:
-            self._batches_seen += 1
+        self._counters.add(batches_seen=1)
 
     def record_absorb(self, rows: int, latency_s: float) -> None:
         """Count one absorbed batch and its update latency."""
-        with self._lock:
-            self._batches_absorbed += 1
-            self._rows_absorbed += int(rows)
-            self._absorb_latencies.append(float(latency_s))
+        self._counters.add(
+            latency_s=latency_s, batches_absorbed=1, rows_absorbed=int(rows)
+        )
 
     def record_quarantine(self, rows: int) -> None:
         """Count one poisoned batch dropped without touching the model."""
-        with self._lock:
-            self._batches_quarantined += 1
-            self._rows_quarantined += int(rows)
+        self._counters.add(batches_quarantined=1, rows_quarantined=int(rows))
 
     def record_drift_score(self, score: float, smoothed: float) -> None:
         """Remember the most recent drift verdict inputs."""
-        with self._lock:
-            self._last_drift_score = float(score)
-            self._last_drift_smoothed = float(smoothed)
+        with self._counters.lock:
+            self._counters.lane().counts.update(
+                last_drift_score=float(score),
+                last_drift_smoothed=float(smoothed),
+            )
 
     def record_refit(self, seconds: float) -> None:
         """Count one drift-triggered full EM refit."""
-        with self._lock:
-            self._refits += 1
-            self._refit_seconds += float(seconds)
+        self._counters.add(refits=1, refit_seconds=float(seconds))
 
     def record_push(self) -> None:
         """Count one registry push of a fresh model version."""
-        with self._lock:
-            self._pushes += 1
+        self._counters.add(pushes=1)
 
     def record_swap(self) -> None:
         """Count one successful serving hot-swap."""
-        with self._lock:
-            self._swaps += 1
+        self._counters.add(swaps=1)
 
     def record_swap_failure(self) -> None:
         """Count one failed hot-swap (previous version kept serving)."""
-        with self._lock:
-            self._swap_failures += 1
+        self._counters.add(swap_failures=1)
 
-    # ------------------------------------------------------------------
     @property
     def batches_absorbed(self) -> int:
         """Batches folded into the posterior so far."""
-        with self._lock:
-            return self._batches_absorbed
+        return self._counters.get("batches_absorbed")
 
     @property
     def batches_quarantined(self) -> int:
         """Batches dropped as poisoned so far."""
-        with self._lock:
-            return self._batches_quarantined
+        return self._counters.get("batches_quarantined")
 
     @property
     def refits(self) -> int:
         """Drift-triggered full refits so far."""
-        with self._lock:
-            return self._refits
+        return self._counters.get("refits")
 
     def snapshot(self) -> Dict[str, Optional[float]]:
         """Fold every counter into one plain, JSON-friendly dict."""
-        with self._lock:
-            latencies = np.array(self._absorb_latencies, dtype=float)
-            out: Dict[str, Optional[float]] = {
-                "batches_seen": self._batches_seen,
-                "batches_absorbed": self._batches_absorbed,
-                "rows_absorbed": self._rows_absorbed,
-                "batches_quarantined": self._batches_quarantined,
-                "rows_quarantined": self._rows_quarantined,
-                "refits": self._refits,
-                "refit_seconds": self._refit_seconds,
-                "pushes": self._pushes,
-                "swaps": self._swaps,
-                "swap_failures": self._swap_failures,
-                "last_drift_score": self._last_drift_score,
-                "last_drift_smoothed": self._last_drift_smoothed,
-            }
-        if latencies.size:
-            out["p50_absorb_ms"] = float(
-                np.percentile(latencies, 50.0) * 1e3
-            )
-            out["p95_absorb_ms"] = float(
-                np.percentile(latencies, 95.0) * 1e3
-            )
-        else:
-            out["p50_absorb_ms"] = None
-            out["p95_absorb_ms"] = None
-        return out
-
-    def __repr__(self) -> str:  # pragma: no cover - cosmetic
-        with self._lock:
-            return (
-                f"StreamingMetrics(seen={self._batches_seen}, "
-                f"absorbed={self._batches_absorbed}, "
-                f"quarantined={self._batches_quarantined}, "
-                f"refits={self._refits})"
-            )
+        lane = self._counters.read()
+        return dict(
+            lane.counts, **lane.latency.quantiles_ms("absorb", (50, 95))
+        )

@@ -9,6 +9,7 @@ canary weights 0 / 1 route exactly even while chaos is configured.
 
 from __future__ import annotations
 
+import multiprocessing
 import threading
 import time
 
@@ -46,6 +47,16 @@ def registry(tmp_path, modelset) -> ModelRegistry:
 def _x(modelset, rows=2):
     rng = np.random.default_rng(5)
     return rng.standard_normal((rows, modelset.basis.n_variables))
+
+
+def _wait_pending(cluster, n, queued=0, timeout=10.0):
+    """Block until shard 0 holds ``n`` requests awaiting replies, at
+    least ``queued`` of them still in the gateway's send queue."""
+    handle = cluster._shards[0]
+    deadline = time.monotonic() + timeout
+    while len(handle.pending) < n or handle.queue.qsize() < queued:
+        assert time.monotonic() < deadline, "requests never pended"
+        time.sleep(0.01)
 
 
 class TestKillRespawn:
@@ -95,7 +106,7 @@ class TestKillRespawn:
         self, registry, modelset
     ):
         """Deterministic crash-with-requests-in-flight: hang the shard so
-        a request pends, then hard-kill the process."""
+        a predict and a yield report pend, then hard-kill the process."""
         config = ClusterConfig(
             n_shards=1, default_deadline_s=10.0, max_respawns=0
         )
@@ -103,32 +114,129 @@ class TestKillRespawn:
         with ClusterService(registry, ["lna@v1"], config) as cluster:
             cluster.predict_many("lna", x, [0, 0])
             cluster.inject_faults(FaultPlan.parse("shard:hang@0"))
-            caught = {}
+            calls = {
+                "predict": lambda: cluster.predict_many("lna", x, [0, 0]),
+                "yield": lambda: cluster.yield_report(
+                    "lna", ["nf_db<=1.6"], n_samples=20
+                ),
+            }
+            caught, elapsed = {}, {}
 
-            def pending_call():
+            def pending_call(name):
                 started = time.monotonic()
                 try:
-                    cluster.predict_many("lna", x, [0, 0])
+                    calls[name]()
                 except ServingError as error:
-                    caught["error"] = error
-                caught["elapsed"] = time.monotonic() - started
+                    caught[name] = error
+                elapsed[name] = time.monotonic() - started
 
-            worker = threading.Thread(target=pending_call)
-            worker.start()
-            time.sleep(0.5)  # let the request reach the hung shard
+            workers = [
+                threading.Thread(target=pending_call, args=(name,))
+                for name in calls
+            ]
+            for worker in workers:
+                worker.start()
+            _wait_pending(cluster, 2)
             cluster._shards[0].process.kill()
-            worker.join(timeout=5.0)
-            assert not worker.is_alive()
-            assert isinstance(caught["error"], ShardCrashError)
-            # Failed promptly on the crash, not by burning the deadline.
-            assert caught["elapsed"] < 5.0
-            assert cluster.metrics.snapshot()["shards"][0][
-                "crash_failures"
-            ] >= 2
+            for worker in workers:
+                worker.join(timeout=5.0)
+                assert not worker.is_alive()
+            for name in calls:
+                assert isinstance(caught[name], ShardCrashError)
+                # Failed promptly on the crash, not by burning the deadline.
+                assert elapsed[name] < 5.0
+            # Two predicted rows plus one yield report, on both lanes.
+            snapshot = cluster.metrics.snapshot()
+            assert snapshot["shards"][0]["crash_failures"] == 3
+            assert snapshot["versions"]["lna@v1"]["crash_failures"] == 3
             # Respawn budget 0: the shard stays down and later requests
             # fail fast with the same taxonomy error.
             with pytest.raises(ShardCrashError, match="respawn budget"):
                 cluster.predict_many("lna", x, [0, 0])
+
+    def test_control_frame_in_flight_counts_nothing(
+        self, registry, modelset
+    ):
+        """A report() whose metrics fetch dies with the shard charges no
+        crash failure and adds no version lane."""
+        config = ClusterConfig(
+            n_shards=1, default_deadline_s=10.0, max_respawns=0
+        )
+        with ClusterService(registry, ["lna@v1"], config) as cluster:
+            cluster.predict_many("lna", _x(modelset), [0, 0])
+            cluster.inject_faults(FaultPlan.parse("shard:hang@0"))
+            reports = []
+            worker = threading.Thread(
+                target=lambda: reports.append(cluster.report())
+            )
+            worker.start()
+            _wait_pending(cluster, 1)
+            cluster._shards[0].process.kill()
+            worker.join(timeout=5.0)
+            assert not worker.is_alive()
+            snapshot = cluster.metrics.snapshot()
+            assert list(snapshot["versions"]) == ["lna@v1"]
+            assert snapshot["shards"][0]["crash_failures"] == 0
+            table = reports[0].split("VERSION")[1].split("\n\n")[0]
+            rows = table.splitlines()[1:]
+            assert [row.split()[0] for row in rows] == ["lna@v1"]
+
+    def test_queued_request_counted_once(self, registry, modelset):
+        """A request still in the gateway's send queue when the shard
+        dies is one crash failure per row, not two."""
+        config = ClusterConfig(
+            n_shards=1, default_deadline_s=10.0, max_respawns=0
+        )
+        # Large enough to fill the socket to the hung shard, so the
+        # sender blocks and the next request stays queued.
+        big, small = _x(modelset, rows=3000), _x(modelset)
+        with ClusterService(registry, ["lna@v1"], config) as cluster:
+            cluster.predict_many("lna", small, [0, 0])
+            cluster.inject_faults(FaultPlan.parse("shard:hang@0"))
+            errors = []
+
+            def pending_call(x):
+                try:
+                    cluster.predict_many("lna", x, [0] * len(x))
+                except ServingError as error:
+                    errors.append(error)
+
+            workers = []
+            for x, pending in ((big, 1), (small, 2)):
+                workers.append(
+                    threading.Thread(target=pending_call, args=(x,))
+                )
+                workers[-1].start()
+                _wait_pending(cluster, pending, queued=pending - 1)
+            cluster._shards[0].process.kill()
+            for worker in workers:
+                worker.join(timeout=5.0)
+                assert not worker.is_alive()
+            assert len(errors) == 2
+            assert all(isinstance(e, ShardCrashError) for e in errors)
+            snapshot = cluster.metrics.snapshot()
+            assert snapshot["shards"][0]["crash_failures"] == 3002
+            assert snapshot["versions"]["lna@v1"]["crash_failures"] == 3002
+
+
+    def test_stop_during_respawn_reaps_the_new_worker(
+        self, registry, modelset
+    ):
+        """stop() while a killed shard's replacement is still starting
+        leaves no worker process behind."""
+        config = ClusterConfig(n_shards=1, default_deadline_s=10.0)
+        with ClusterService(registry, ["lna@v1"], config) as cluster:
+            cluster.predict_many("lna", _x(modelset), [0, 0])
+            cluster._shards[0].process.kill()
+            deadline = time.monotonic() + 10.0
+            while cluster.metrics.total_respawns < 1:
+                assert time.monotonic() < deadline, "never respawned"
+                time.sleep(0.01)
+        alive = [
+            p for p in multiprocessing.active_children()
+            if p.name.startswith("repro-shard-") and p.is_alive()
+        ]
+        assert alive == []
 
 
 class TestHangDeadline:

@@ -10,6 +10,7 @@ import pytest
 from repro.cluster import ClusterConfig, ClusterService
 from repro.cluster.protocol import decode_results
 from repro.errors import ServingError
+from repro.obs import GROWTH
 from repro.serving import ModelRegistry
 from repro.serving.metrics import aggregate_snapshots
 
@@ -172,7 +173,18 @@ class TestFleetReporting:
         assert total["requests"] > max(e["requests"] for e in engines)
         report = cluster.report()
         assert f"requests={total['requests']}" in report
-        assert "aggregate:" in report
+        aggregate = next(
+            line for line in report.splitlines() if "aggregate:" in line
+        )
+        # Fleet quantiles come from the merged shard histograms; a
+        # quantile of a mixture lies between its parts' quantiles.
+        for percent in (50, 95, 99):
+            field = f"p{percent}_latency_ms"
+            shards = [engine[field] for engine in engines]
+            assert total[field] is not None
+            assert min(shards) / GROWTH <= total[field]
+            assert total[field] <= max(shards) * GROWTH
+            assert f"p{percent}ms={total[field]:.3f}" in aggregate
 
     def test_snapshot_has_per_shard_and_per_version_lanes(
         self, cluster, design

@@ -28,8 +28,8 @@ class TestClusterMetrics:
         snapshot = metrics.snapshot()
         assert snapshot["shards"][0]["requests"] == 4
         assert snapshot["shards"][1]["requests"] == 2
-        assert snapshot["versions"]["m@v1"]["rows"] == 4
-        assert snapshot["versions"]["m@v2"]["rows"] == 2
+        assert snapshot["versions"]["m@v1"]["requests"] == 4
+        assert snapshot["versions"]["m@v2"]["requests"] == 2
         assert snapshot["shards"][0]["p50_latency_ms"] == pytest.approx(10.0)
 
     def test_error_counters_and_totals(self):
@@ -52,20 +52,6 @@ class TestClusterMetrics:
         metrics.record_shed(0, "m@v1", 1)
         snapshot = metrics.snapshot()
         assert snapshot["shards"][0]["p50_latency_ms"] is None
-
-    def test_latency_window_bounded(self):
-        metrics = ClusterMetrics(latency_window=4)
-        for _ in range(10):
-            metrics.record_batch(0, "m@v1", 1, 1.0)
-        metrics.record_batch(0, "m@v1", 1, 3.0)
-        # Window keeps only the last 4 observations (1,1,1,3).
-        assert metrics.snapshot()["shards"][0]["p50_latency_ms"] == (
-            pytest.approx(1000.0)
-        )
-
-    def test_invalid_window(self):
-        with pytest.raises(ValueError, match="latency_window"):
-            ClusterMetrics(latency_window=0)
 
 
 class TestFormatClusterReport:

@@ -45,17 +45,6 @@ class TestCounters:
         assert snapshot["p50_latency_ms"] == pytest.approx(50.5, abs=1.0)
         assert snapshot["p95_latency_ms"] == pytest.approx(95.0, abs=1.0)
 
-    def test_latency_window_bounded(self):
-        metrics = ServingMetrics(latency_window=10)
-        for _ in range(100):
-            metrics.record_request(1.0)
-        assert len(metrics._latencies) == 10
-        assert metrics.requests == 100
-
-    def test_window_validation(self):
-        with pytest.raises(ValueError):
-            ServingMetrics(latency_window=0)
-
     def test_thread_safety_smoke(self):
         metrics = ServingMetrics()
 
