@@ -1,13 +1,13 @@
-"""Serving-path throughput: single-request vs micro-batched.
+"""Serving-path throughput: one-row calls vs one bulk call.
 
-The serving subsystem's claim is that coalescing requests into one
-``basis.expand + coef`` matmul per (model, state) group beats answering
-them one by one. This benchmark fits a small model set, pushes it to a
-registry, then serves the same 10k mixed-state request stream through
+The serving subsystem's claim is that sending requests together, so
+they share one ``basis.expand + coef`` matmul per state group, beats
+answering them one by one. This benchmark fits a small model set,
+pushes it to a registry, then serves the same 10k mixed-state request
+stream through
 
-* the degenerate single-request configuration (batch size 1, no
-  coalescing window), and
-* the bulk micro-batched path,
+* one ``ModelService.predict`` call per row, and
+* one ``ModelService.predict_many`` call for the whole stream,
 
 asserting bit-equal answers and a >= 5x batched speedup (best-of-N
 timing — the suite may share a noisy box). EXPERIMENTS.md records the
@@ -22,7 +22,7 @@ import numpy as np
 import pytest
 
 from repro.modelset import PerformanceModelSet
-from repro.serving import BatchConfig, ModelRegistry, ModelService
+from repro.serving import ModelRegistry, ModelService
 
 N_REQUESTS = 10_000
 N_POOL = 2_000
@@ -51,17 +51,6 @@ def serving_setup(tmp_path_factory):
     return registry, models, x, states
 
 
-def _single_service(registry):
-    return ModelService(
-        registry,
-        batch=BatchConfig(max_batch_size=1, flush_interval=0.0),
-    )
-
-
-def _batched_service(registry):
-    return ModelService(registry)
-
-
 @contextlib.contextmanager
 def _gc_paused():
     """Suppress collector pauses inside the timed region (both paths)."""
@@ -75,7 +64,7 @@ def _gc_paused():
 
 
 def _time_single(registry, x, states):
-    service = _single_service(registry)
+    service = ModelService(registry)
     service.load("lna@latest")
     with _gc_paused():
         started = time.perf_counter()
@@ -85,7 +74,7 @@ def _time_single(registry, x, states):
 
 
 def _time_batched(registry, x, states):
-    service = _batched_service(registry)
+    service = ModelService(registry)
     service.load("lna@latest")
     with _gc_paused():
         started = time.perf_counter()
@@ -94,7 +83,7 @@ def _time_batched(registry, x, states):
 
 
 def test_batched_throughput_beats_single(benchmark, serving_setup):
-    """Micro-batched serving is >= 5x single-request on 10k requests."""
+    """One bulk call is >= 5x one-row calls on 10k requests."""
     registry, models, x, states = serving_setup
     _time_single(registry, x[:500], states[:500])  # warm numpy/BLAS
     _time_batched(registry, x, states)
@@ -117,13 +106,13 @@ def test_batched_throughput_beats_single(benchmark, serving_setup):
         f"{N_POOL} unique points, K={models.n_states}\n"
         f"  single-request : {t_single:.3f}s "
         f"({N_REQUESTS / t_single:,.0f} req/s)\n"
-        f"  micro-batched  : {t_batched:.3f}s "
+        f"  bulk           : {t_batched:.3f}s "
         f"({N_REQUESTS / t_batched:,.0f} req/s)\n"
         f"  speedup        : {speedup:.1f}x\n"
         f"  batches        : {snapshot['batches']}"
     )
     assert speedup >= 5.0, (
-        f"micro-batching speedup {speedup:.1f}x below the 5x floor "
+        f"bulk speedup {speedup:.1f}x below the 5x floor "
         f"(single {t_single:.3f}s, batched {t_batched:.3f}s)"
     )
 
@@ -139,14 +128,11 @@ def test_batched_throughput_beats_single(benchmark, serving_setup):
 
 
 def test_streaming_coalescing_correct(serving_setup):
-    """Concurrent streaming requests coalesce and stay correct."""
+    """One-row requests from four concurrent threads stay correct."""
     import threading
 
     registry, models, x, states = serving_setup
-    service = ModelService(
-        registry,
-        batch=BatchConfig(max_batch_size=32, flush_interval=0.002),
-    )
+    service = ModelService(registry)
     service.load("lna@latest")
     n = 400
     answers = [None] * n
@@ -170,4 +156,3 @@ def test_streaming_coalescing_correct(serving_setup):
             assert answers[i].values[metric] == pytest.approx(
                 float(model.predict(design, int(states[i]))[0]), abs=1e-12
             )
-    assert service.metrics.snapshot()["max_batch_size"] > 1

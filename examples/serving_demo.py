@@ -1,8 +1,8 @@
-"""Serving demo: registry push, micro-batched serving, hot swap.
+"""Serving demo: registry push, batched serving, hot swap.
 
 Fits a small tunable-LNA model set, pushes two versions of it to a
-versioned on-disk registry, serves a burst of mixed-state requests
-through the micro-batching `ModelService`, and hot-swaps to the second
+versioned on-disk registry, serves a burst of mixed-state requests as
+one `ModelService.predict_many` call, and hot-swaps to the second
 version under load. Prints the registry listing and the service's
 telemetry snapshot along the way.
 
@@ -15,7 +15,7 @@ import numpy as np
 
 from repro import MonteCarloEngine, TunableLNA
 from repro.modelset import PerformanceModelSet
-from repro.serving import BatchConfig, ModelRegistry, ModelService
+from repro.serving import ModelRegistry, ModelService
 
 
 def main() -> None:
@@ -40,12 +40,9 @@ def main() -> None:
             print(f"  {entry.key:10s} {entry.kind:9s} "
                   f"metrics={','.join(entry.metrics)}")
 
-        # 3. Serve: micro-batched; every row is computed, one matmul per
+        # 3. Serve: one bulk call; every row is computed, one matmul per
         #    state group.
-        service = ModelService(
-            registry,
-            batch=BatchConfig(max_batch_size=64, flush_interval=0.002),
-        )
+        service = ModelService(registry)
         service.load("lna@v1")
 
         rng = np.random.default_rng(7)

@@ -3,13 +3,10 @@
 The paper motivates performance modeling by its applications: yield
 estimation, corner extraction and design/tuning optimization. These modules
 implement all three on top of any fitted :class:`MultiStateRegressor`.
+Per-state yield reports live in :mod:`repro.yields`, and
+uncertainty-driven sampling in :mod:`repro.active`.
 """
 
-from repro.applications.adaptive_sampling import (
-    AdaptiveResult,
-    AdaptiveRound,
-    AdaptiveSampler,
-)
 from repro.applications.corner_extraction import (
     CornerResult,
     extract_worst_case_corner,
@@ -22,15 +19,11 @@ from repro.applications.sensitivity import (
 from repro.applications.tuning import TuningPolicy, TuningSummary
 from repro.applications.yield_estimation import (
     Specification,
-    YieldEstimator,
     analytic_spec_yield,
     monte_carlo_yield,
 )
 
 __all__ = [
-    "AdaptiveResult",
-    "AdaptiveRound",
-    "AdaptiveSampler",
     "CornerResult",
     "extract_worst_case_corner",
     "TuningPolicy",
@@ -39,7 +32,6 @@ __all__ = [
     "format_ranking",
     "rank_sensitivities",
     "Specification",
-    "YieldEstimator",
     "analytic_spec_yield",
     "monte_carlo_yield",
 ]

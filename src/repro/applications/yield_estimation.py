@@ -1,16 +1,18 @@
-"""Parametric yield estimation from fitted performance models [12]-[13].
+"""Yield specifications and reference yields [12]-[13].
 
-Once a performance model is fitted from a few hundred simulations, yield
-under *millions* of Monte Carlo samples costs only matrix products — the
-core economic argument for performance modeling. ``YieldEstimator``
-evaluates specs on model predictions; ``monte_carlo_yield`` evaluates the
-same specs on direct circuit evaluations for validation.
+``Specification`` is the pass/fail bound every yield path shares: the
+shared-die tuning yields of
+:class:`~repro.applications.tuning.TuningPolicy`, the correlation-shared
+per-state reports of :mod:`repro.yields`, and the cluster's ``yield``
+endpoint. ``monte_carlo_yield`` evaluates specs on direct circuit
+evaluations and ``analytic_spec_yield`` in closed form; tests compare the
+model-based yields against both.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Mapping, Optional, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -20,9 +22,8 @@ from repro.core.base import MultiStateRegressor
 from repro.errors import NumericalError
 from repro.utils.rng import SeedLike, as_generator
 from repro.utils.validation import check_integer
-from repro.variation.sampling import standard_normal_samples
 
-__all__ = ["Specification", "YieldEstimator", "monte_carlo_yield"]
+__all__ = ["Specification", "monte_carlo_yield"]
 
 
 @dataclass(frozen=True)
@@ -76,99 +77,6 @@ class Specification:
         if self.kind == "max":
             return values <= self.bound
         return values >= self.bound
-
-
-class YieldEstimator:
-    """Model-based yield: specs evaluated on model predictions.
-
-    Parameters
-    ----------
-    models:
-        metric name → fitted estimator for that metric.
-    basis:
-        Dictionary used to expand raw samples before prediction.
-    """
-
-    def __init__(
-        self,
-        models: Mapping[str, MultiStateRegressor],
-        basis: BasisDictionary,
-    ) -> None:
-        if not models:
-            raise ValueError("at least one metric model is required")
-        self.models: Dict[str, MultiStateRegressor] = dict(models)
-        self.basis = basis
-        states = {model.n_states for model in self.models.values()}
-        if len(states) != 1:
-            raise ValueError(
-                f"models disagree on the state count: {sorted(states)}"
-            )
-        self.n_states = states.pop()
-
-    # ------------------------------------------------------------------
-    def _check_specs(self, specs: Sequence[Specification]) -> None:
-        if not specs:
-            raise ValueError("at least one specification is required")
-        for spec in specs:
-            if spec.metric not in self.models:
-                raise KeyError(
-                    f"no model for metric {spec.metric!r}; have "
-                    f"{sorted(self.models)}"
-                )
-
-    def pass_matrix(
-        self,
-        x: np.ndarray,
-        specs: Sequence[Specification],
-    ) -> np.ndarray:
-        """(n_samples × n_states) boolean: sample passes all specs at state."""
-        self._check_specs(specs)
-        design = self.basis.expand(x)
-        passes = np.ones((x.shape[0], self.n_states), dtype=bool)
-        for spec in specs:
-            model = self.models[spec.metric]
-            for state in range(self.n_states):
-                predictions = model.predict(design, state)
-                if not np.all(np.isfinite(predictions)):
-                    n_bad = int(np.sum(~np.isfinite(predictions)))
-                    raise NumericalError(
-                        f"model for metric {spec.metric!r} produced {n_bad} "
-                        f"non-finite prediction(s) at state {state}; "
-                        "NaN comparisons would silently count as spec "
-                        "failures and corrupt the yield estimate"
-                    )
-                passes[:, state] &= spec.passes(predictions)
-        return passes
-
-    def state_yields(
-        self,
-        specs: Sequence[Specification],
-        n_samples: int = 100_000,
-        seed: SeedLike = None,
-    ) -> np.ndarray:
-        """Per-state parametric yield under fresh model Monte Carlo."""
-        n_samples = check_integer(n_samples, "n_samples", minimum=1)
-        x = standard_normal_samples(
-            n_samples, self.basis.n_variables, seed
-        )
-        return self.pass_matrix(x, specs).mean(axis=0)
-
-    def tunable_yield(
-        self,
-        specs: Sequence[Specification],
-        n_samples: int = 100_000,
-        seed: SeedLike = None,
-    ) -> float:
-        """Yield when each die may select its best state (post-silicon tuning).
-
-        A die passes if *any* knob state satisfies every spec — the tunable
-        circuit's reason for existing.
-        """
-        n_samples = check_integer(n_samples, "n_samples", minimum=1)
-        x = standard_normal_samples(
-            n_samples, self.basis.n_variables, seed
-        )
-        return float(self.pass_matrix(x, specs).any(axis=1).mean())
 
 
 def analytic_spec_yield(

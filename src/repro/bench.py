@@ -6,7 +6,7 @@ reports next to the working directory:
 * ``BENCH_fit.json`` — the C-BMF fitting pipeline on the figure-2 LNA
   workload: full ``CBMF.fit``, the S-OMP/cross-validation initializer,
   the EM refinement and one posterior solve;
-* ``BENCH_serving.json`` — the micro-batched serving engine
+* ``BENCH_serving.json`` — the batched serving engine
   (``predict_many`` throughput on a fitted model set);
 * ``BENCH_streaming.json`` — the online-update path (per-batch
   ``OnlineCBMF.absorb`` latency vs a full warm-started refit on the
@@ -179,7 +179,7 @@ def bench_serving(
     repeats: int = 3,
     seed: int = 2016,
 ) -> dict:
-    """Time the serving path: micro-batched ``predict_many`` throughput."""
+    """Time the serving path: bulk ``predict_many`` throughput."""
     import tempfile
 
     from repro.circuits.lna import TunableLNA

@@ -6,7 +6,7 @@
     python -m repro fig3 [--metric nf_db|gain_db|i1db_dbm]
     python -m repro all
     python -m repro info
-    python -m repro serve-bench [--requests N] [--batch-size B]
+    python -m repro serve-bench [--requests N] [--method NAME]
     python -m repro sweep-fit [--points K] [--train N] [--registry DIR]
     python -m repro yield-report [--spec 'nf_db<=1.55'] [--points K] ...
     python -m repro bench [--quick] [--check] [--update-baseline]
@@ -18,7 +18,7 @@
 Output is the paper-style text tables; `reproduce_paper.py` in examples/
 offers the same through a script, and the benchmark suite wraps the same
 entry points with assertions. ``serve-bench`` exercises the serving
-subsystem end-to-end (fit → registry push → micro-batched service),
+subsystem end-to-end (fit → registry push → one-row vs bulk serving),
 ``registry`` manages a model registry directory, ``active-fit`` runs
 the active-learning loop on a circuit (checkpointable with ``--checkpoint``
 / ``--resume``, optionally pushing the converged model to a registry with
@@ -122,7 +122,7 @@ def _cmd_serve_bench(args) -> int:
 
     from repro.circuits.lna import TunableLNA
     from repro.modelset import PerformanceModelSet
-    from repro.serving import BatchConfig, ModelRegistry, ModelService
+    from repro.serving import ModelRegistry, ModelService
     from repro.simulate.montecarlo import MonteCarloEngine
 
     rng = np.random.default_rng(args.seed)
@@ -150,10 +150,7 @@ def _cmd_serve_bench(args) -> int:
         states = rng.integers(0, args.states, n)
 
         def single_pass():
-            service = ModelService(
-                registry,
-                batch=BatchConfig(max_batch_size=1, flush_interval=0.0),
-            )
+            service = ModelService(registry)
             service.load("lna@latest")
             t0 = time.perf_counter()
             for i in range(n):
@@ -161,10 +158,7 @@ def _cmd_serve_bench(args) -> int:
             return time.perf_counter() - t0, service
 
         def batched_pass():
-            service = ModelService(
-                registry,
-                batch=BatchConfig(max_batch_size=args.batch_size),
-            )
+            service = ModelService(registry)
             service.load("lna@latest")
             t0 = time.perf_counter()
             results = service.predict_many("lna", x, states)
@@ -1008,7 +1002,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser(
         "serve-bench",
-        help="fit -> registry push -> serve: micro-batching benchmark",
+        help="fit -> registry push -> serve: one-row vs bulk benchmark",
     )
     p.add_argument("--requests", type=int, default=10_000,
                    help="how many mixed-state requests to serve")
@@ -1019,8 +1013,6 @@ def build_parser() -> argparse.ArgumentParser:
                    help="training samples per state")
     p.add_argument("--method", default="cbmf",
                    help="estimator to fit (default: cbmf)")
-    p.add_argument("--batch-size", type=int, default=64,
-                   help="engine max micro-batch size")
     p.add_argument("--registry", default=None,
                    help="persist the registry here (default: temp dir)")
     p.add_argument("--trials", type=int, default=3,

@@ -147,26 +147,31 @@ class ClusterConfig:
 
 
 def _parse_specs(specs: Sequence) -> List[Dict]:
-    """Normalize yield specifications into wire-friendly dicts."""
+    """Normalize yield specifications into wire-friendly dicts.
+
+    Every form — ``"metric<=bound"`` text, a ``Specification`` or a
+    ``{"metric", "bound", "kind"}`` dict — goes through
+    :class:`~repro.applications.yield_estimation.Specification`, so a
+    non-finite bound or an unknown kind raises ``ValueError`` here,
+    before anything is queued.
+    """
     from repro.applications.yield_estimation import Specification
 
     parsed = []
     for spec in specs:
         if isinstance(spec, str):
             spec = Specification.parse(spec)
-        if isinstance(spec, Specification):
-            spec = {
-                "metric": spec.metric,
-                "bound": float(spec.bound),
-                "kind": spec.kind,
-            }
-        else:
-            spec = {
-                "metric": str(spec["metric"]),
-                "bound": float(spec["bound"]),
-                "kind": str(spec.get("kind", "max")),
-            }
-        parsed.append(spec)
+        elif not isinstance(spec, Specification):
+            spec = Specification(
+                metric=str(spec["metric"]),
+                bound=float(spec["bound"]),
+                kind=str(spec.get("kind", "max")),
+            )
+        parsed.append({
+            "metric": spec.metric,
+            "bound": float(spec.bound),
+            "kind": spec.kind,
+        })
     if not parsed:
         raise ValueError("at least one specification is required")
     return parsed
@@ -339,8 +344,10 @@ class ClusterService:
         # canary placement and reporting keep their PR-6 semantics.
         self._key_shard: Dict[str, int] = {}
         self._key_replicas: Dict[str, List[int]] = {}
-        # key -> basis.n_variables from the registry manifest.
+        # key -> basis.n_variables and key -> n_states, both from the
+        # registry manifest.
         self._key_width: Dict[str, Optional[int]] = {}
+        self._key_states: Dict[str, int] = {}
         self._shards: List[_ShardHandle] = []
         self._ids = itertools.count(1)
         self._route_lock = threading.Lock()
@@ -626,9 +633,22 @@ class ClusterService:
         states: Optional[Sequence[int]],
         deadline_s: float,
     ) -> Dict:
-        """Loop-side yield report: parse specs, submit with failover."""
+        """Loop-side yield report: validate, submit with failover.
+
+        Specs and ``states`` are checked against the routed version
+        before anything is queued, so a bad request costs no shard work.
+        """
         parsed = _parse_specs(specs)
         key = self._choose_version(name)
+        if states is not None:
+            index = [int(s) for s in states]
+            n_states = self._key_states[key]
+            bad = [k for k in index if not 0 <= k < n_states]
+            if bad:
+                raise ValueError(
+                    f"state {bad[0]} out of range 0..{n_states - 1} "
+                    f"for {key}"
+                )
         reply, _ = await self._submit(
             key,
             time.monotonic() + deadline_s,
@@ -643,7 +663,6 @@ class ClusterService:
         ):
             raise ServingError(f"unexpected yield reply {reply!r}")
         if states is not None:
-            index = [int(s) for s in states]
             report = reply["report"]
             for field_name in (
                 "yield_raw",
@@ -757,10 +776,12 @@ class ClusterService:
             owners = order[:r]
         self._key_shard[key] = owners[0]
         self._key_replicas[key] = owners
-        basis = self.registry.entry(key).manifest.get("basis")
+        manifest = self.registry.entry(key).manifest
+        basis = manifest.get("basis")
         self._key_width[key] = (
             basis.get("n_variables") if isinstance(basis, dict) else None
         )
+        self._key_states[key] = int(manifest["n_states"])
         return owners
 
     async def _load_key_async(

@@ -15,8 +15,7 @@ from the standard GP conditioning identities using the same ``C = σ0²·I +
 
 This gives every C-BMF fit calibrated error bars at the cost of one
 triangular solve per query batch — useful to decide *where* the next
-simulation samples buy the most accuracy (see
-``applications/adaptive_sampling.py``).
+simulation samples buy the most accuracy (see :mod:`repro.active`).
 
 The predictor is also the **online-update primitive** of the streaming
 subsystem: :meth:`PosteriorPredictor.absorb` appends a fresh batch of b
@@ -38,27 +37,18 @@ from typing import List, Optional, Sequence
 import numpy as np
 from scipy import linalg as sla
 
-from repro.core.base import validate_multistate
 from repro.core.kronecker import (
     KRON_MIN_STATES,
     _psd_eigh,
     resolve_solver_mode,
 )
+from repro.core.multistate import MultiStateData
 from repro.core.prior import CorrelatedPrior
 from repro.errors import NumericalError
 from repro.utils.linalg import cholesky_factor
 from repro.utils.validation import check_matrix
 
 __all__ = ["PosteriorPredictor"]
-
-
-def _shared_design(designs: Sequence[np.ndarray]) -> Optional[np.ndarray]:
-    """The common per-state design when every state carries the same one."""
-    first = designs[0]
-    for other in designs[1:]:
-        if other.shape != first.shape or not np.array_equal(other, first):
-            return None
-    return first
 
 
 class PosteriorPredictor:
@@ -81,39 +71,36 @@ class PosteriorPredictor:
         prior: CorrelatedPrior,
         noise_var: float,
     ) -> None:
-        designs, targets = validate_multistate(designs, targets)
+        data = MultiStateData.from_states(designs, targets)
         if noise_var <= 0.0:
             raise ValueError(f"noise_var must be > 0, got {noise_var}")
-        if prior.n_states != len(designs):
+        if prior.n_states != data.n_states:
             raise ValueError(
-                f"prior has {prior.n_states} states, got {len(designs)}"
+                f"prior has {prior.n_states} states, got {data.n_states}"
             )
-        if prior.n_basis != designs[0].shape[1]:
+        if prior.n_basis != data.n_basis:
             raise ValueError(
                 f"prior has {prior.n_basis} bases, designs have "
-                f"{designs[0].shape[1]}"
+                f"{data.n_basis}"
             )
         self._prior = prior
         self._noise_var = noise_var
-        self._phi = np.vstack(designs)
-        self._y = np.concatenate(targets)
-        self._state_of_row = np.concatenate(
-            [np.full(d.shape[0], k, dtype=int) for k, d in enumerate(designs)]
-        )
+        self._phi = data.phi
+        self._y = data.y
+        self._state_of_row = data.state_of_row
         # Kronecker factors (populated in kron mode only).
         self._kron_u: Optional[np.ndarray] = None
         self._kron_q: Optional[np.ndarray] = None
         self._kron_denom: Optional[np.ndarray] = None
 
         mode = resolve_solver_mode()
-        shared = (
-            _shared_design(designs) if mode != "dual" else None
-        )
-        if shared is not None and (
-            mode == "kron" or len(designs) >= KRON_MIN_STATES
+        if (
+            mode != "dual"
+            and (mode == "kron" or data.n_states >= KRON_MIN_STATES)
+            and data.state_balanced
         ):
             self._mode = "kron"
-            self._init_kron(shared, np.stack(targets, axis=1))
+            self._init_kron(data.shared_design, data.targets_matrix())
         else:
             self._mode = "dense"
             self._init_dense()

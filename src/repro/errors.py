@@ -1,7 +1,7 @@
 """Structured exception taxonomy for the fit/serve pipeline.
 
 Every long-running path in the repo — ``CBMF.fit`` with process-pool CV,
-the budgeted ``ActiveFitLoop``, the micro-batching serving engine — can
+the budgeted ``ActiveFitLoop``, the serving engine — can
 fail in ways that deserve different handling: a transient simulator
 crash should be retried, a non-finite sample quarantined, a Cholesky
 breakdown surfaced as a numerical problem, a half-written checkpoint

@@ -9,7 +9,7 @@ directly into the yield/tuning applications.
     models = PerformanceModelSet.fit_dataset(train, method="cbmf", seed=0)
     models.predict(x, state=3)           # {"nf_db": ..., "gain_db": ...}
     models.save_dir("models/")           # one npz per metric
-    YieldEstimator(models.as_mapping(), models.basis)
+    TuningPolicy(models.as_mapping(), models.basis, specs).summarize()
 """
 
 from __future__ import annotations
@@ -92,7 +92,7 @@ class PerformanceModelSet:
         return self._models[metric]
 
     def as_mapping(self) -> Dict[str, MultiStateRegressor]:
-        """Plain dict view (for YieldEstimator / TuningPolicy)."""
+        """Plain dict view (for TuningPolicy)."""
         return dict(self._models)
 
     # ------------------------------------------------------------------

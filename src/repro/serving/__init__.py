@@ -1,13 +1,15 @@
-"""Model serving: versioned registry, micro-batching engine, service.
+"""Model serving: versioned registry, prediction engine, service.
 
 A fitted performance model's life after ``fit`` lives here:
 
 * :class:`ModelRegistry` — versioned on-disk store of frozen models
   (``name@vN`` keys, JSON manifests, sha256 integrity checks).
-* :class:`PredictionEngine` — coalesces single and bulk requests into
-  one vectorized matmul per (model, state) group; every row is
-  computed, and answers stay column arrays until a public method
-  returns :class:`PredictionResult` rows.
+* :class:`PredictionEngine` — answers a request list with one
+  vectorized matmul per state group; every row is computed, and
+  answers stay column arrays until a public method returns
+  :class:`PredictionResult` rows. Requests computed together are sent
+  together (``predict_many``); the cluster gateway merges concurrent
+  remote requests before they reach a shard.
 * :class:`ServingMetrics` — counters and latency quantiles behind a
   ``snapshot()`` dict.
 * :class:`ModelService` — the thread-safe façade wiring the three
@@ -20,7 +22,7 @@ A fitted performance model's life after ``fit`` lives here:
     service.predict("lna", x, state=3).values   # {"nf_db": ..., ...}
 """
 
-from repro.serving.engine import BatchConfig, PredictionEngine, ServedModel
+from repro.serving.engine import PredictionEngine, ServedModel
 from repro.serving.metrics import ServingMetrics, aggregate_snapshots
 from repro.serving.registry import (
     ModelRegistry,
@@ -29,15 +31,13 @@ from repro.serving.registry import (
     read_model_dir,
     write_model_dir,
 )
-from repro.serving.requests import PredictionRequest, PredictionResult
+from repro.serving.requests import PredictionResult
 from repro.serving.service import ModelService
 
 __all__ = [
-    "BatchConfig",
     "ModelRegistry",
     "ModelService",
     "PredictionEngine",
-    "PredictionRequest",
     "PredictionResult",
     "RegistryEntry",
     "RegistryError",

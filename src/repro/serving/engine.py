@@ -1,34 +1,28 @@
-"""Micro-batching prediction engine.
+"""Prediction engine: one array computation per request list.
 
 The hot path of serving is a matmul — ``basis.expand(x) @ coef[state]``
 — and a matmul over one stacked design matrix is far cheaper than the
-same rows one by one. The engine therefore never computes a request in
-isolation if it can help it:
+same rows one by one. ``predict_array`` groups a request's rows by
+state and runs one ``basis.expand`` plus one
+:meth:`ServedModel.predict_design` per group, filling one
+``(rows, metrics)`` array — so every answer is an element of
+``FrozenModel.predict`` on that state's stacked rows, in request order.
+``predict_many`` wraps it in :class:`PredictionResult` rows, ``predict``
+answers one sample vector as a one-row request, and the cluster shards
+send the array's columns as they are.
 
-* ``predict_array`` (the bulk path) groups the rows by state and runs
-  one ``basis.expand`` plus one :meth:`ServedModel.predict_design` per
-  group, filling one ``(rows, metrics)`` array — so every answer is an
-  element of ``FrozenModel.predict`` on that state's stacked rows, in
-  request order. ``predict_many`` wraps it in :class:`PredictionResult`
-  rows; the cluster shards send the array's columns as they are.
-* ``predict`` (the streaming path) parks each request in a queue; the
-  queue flushes when it reaches ``BatchConfig.max_batch_size`` rows or
-  when ``flush_interval`` elapses, whichever comes first, and the flush
-  hands each served model's queued rows to the bulk path. Concurrent
-  callers coalesce; a lone caller pays at most one flush interval of
-  latency.
-
-Repeated rows are computed each time: Monte-Carlo sign-off and
-post-silicon tuning traffic never repeats an ``(x, state)`` pair, so a
-result cache would only add a lookup per row.
+The engine holds no queue: callers that want their requests computed
+together send them together (``predict_many``), and the cluster
+gateway's asyncio coalescer merges concurrent remote requests before
+they reach a shard. Repeated rows are computed each time: Monte-Carlo
+sign-off and post-silicon tuning traffic never repeats an
+``(x, state)`` pair, so a result cache would only add a lookup per row.
 """
 
 from __future__ import annotations
 
-import threading
 import time
 from types import MappingProxyType
-from dataclasses import dataclass, field
 from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
 import numpy as np
@@ -38,51 +32,7 @@ from repro.core.frozen import FrozenModel
 from repro.serving.metrics import ServingMetrics
 from repro.serving.requests import PredictionResult, results_from_columns
 
-__all__ = ["BatchConfig", "PredictionEngine", "ServedModel"]
-
-
-@dataclass(frozen=True)
-class BatchConfig:
-    """Micro-batching knobs.
-
-    ``max_batch_size`` rows force a flush; otherwise the oldest queued
-    request waits at most ``flush_interval`` seconds. The two sentinel
-    intervals are distinct: ``flush_interval=0`` means *flush
-    immediately* (the "unbatched" baseline, like ``max_batch_size=1``),
-    while ``flush_interval=None`` means *never flush on time* — a
-    request waits, indefinitely if need be, until the batch fills or
-    someone flushes explicitly.
-    """
-
-    max_batch_size: int = 64
-    flush_interval: Optional[float] = 0.002
-
-    def __post_init__(self) -> None:
-        """Validate the configuration."""
-        if self.max_batch_size < 1:
-            raise ValueError(
-                f"max_batch_size must be >= 1, got {self.max_batch_size}"
-            )
-        if self.flush_interval is not None and self.flush_interval < 0:
-            raise ValueError(
-                f"flush_interval must be >= 0 or None, "
-                f"got {self.flush_interval}"
-            )
-
-    def wait_timeout(self) -> Optional[float]:
-        """Event-wait timeout for the streaming path.
-
-        ``None`` (size-triggered flushing only) waits without a timeout;
-        ``0`` polls on a short interval so an immediate-flush engine can
-        never park a request forever — the regression the old
-        ``flush_interval or None`` coercion caused by conflating the
-        falsy ``0`` with ``None``.
-        """
-        if self.flush_interval is None:
-            return None
-        if self.flush_interval == 0.0:
-            return 5e-4
-        return self.flush_interval
+__all__ = ["PredictionEngine", "ServedModel"]
 
 
 class ServedModel:
@@ -90,7 +40,7 @@ class ServedModel:
 
     Bundles the basis with one :class:`FrozenModel` per metric under a
     ``(name, version)`` identity. The service swaps whole ``ServedModel``
-    objects atomically, and every batch captures one reference before
+    objects atomically, and every request captures one reference before
     computing — so a single answer can never mix two versions'
     coefficients.
     """
@@ -181,40 +131,28 @@ def _check_rows(
     return x, states
 
 
-@dataclass
-class _Pending:
-    """One queued streaming request awaiting a batch flush."""
-
-    served: ServedModel
-    x: np.ndarray
-    state: int
-    event: threading.Event = field(default_factory=threading.Event)
-    row: Optional[np.ndarray] = None  # (1, metrics) answer
-    error: Optional[Exception] = None
-
-
 class PredictionEngine:
-    """Coalesces prediction requests into vectorized batched matmuls."""
+    """Answers request lists with one vectorized matmul per state group."""
 
-    def __init__(
-        self,
-        metrics: Optional[ServingMetrics] = None,
-        batch: Optional[BatchConfig] = None,
-    ) -> None:
+    def __init__(self, metrics: Optional[ServingMetrics] = None) -> None:
         self.metrics = metrics if metrics is not None else ServingMetrics()
-        self.batch = batch if batch is not None else BatchConfig()
-        self._lock = threading.Lock()
-        self._queue: List[_Pending] = []
 
-    # -- bulk path ------------------------------------------------------
-    def _compute(
-        self, served: ServedModel, x: np.ndarray, states: np.ndarray
+    def predict_array(
+        self,
+        served: ServedModel,
+        x: np.ndarray,
+        states: Sequence[int],
     ) -> np.ndarray:
-        """``(rows, metrics)`` answers, one expand + predict per state.
+        """Answer a request list as one ``(rows, metrics)`` array.
 
-        Column-major, so each metric's column — and any row range of
-        it — is contiguous.
+        Columns follow ``served.metric_names``; the array is
+        column-major, so each metric's column — and any row range of
+        it — is contiguous. Rows are grouped by state and each group is
+        one ``FrozenModel.predict`` per metric on its stacked rows in
+        request order, so every answer is bit-identical to that call.
         """
+        started = time.perf_counter()
+        x, states = _check_rows(served, x, states)
         metrics = served.metric_names
         n = x.shape[0]
         out = np.empty((n, len(metrics)), order="F")
@@ -232,29 +170,9 @@ class PredictionEngine:
             for j, metric in enumerate(metrics):
                 out[rows, j] = answers[metric]
             self.metrics.record_batch(rows.size)
-        return out
-
-    def predict_array(
-        self,
-        served: ServedModel,
-        x: np.ndarray,
-        states: Sequence[int],
-    ) -> np.ndarray:
-        """Answer a request list as one ``(rows, metrics)`` array.
-
-        Columns follow ``served.metric_names``. Rows are grouped by
-        state and each group is one ``FrozenModel.predict`` per metric
-        on its stacked rows in request order, so every answer is
-        bit-identical to that call.
-        """
-        started = time.perf_counter()
-        x, states = _check_rows(served, x, states)
-        out = self._compute(served, x, states)
-        n = x.shape[0]
-        if n:
-            self.metrics.record_request(
-                (time.perf_counter() - started) / n, count=n
-            )
+        self.metrics.record_request(
+            (time.perf_counter() - started) / n, count=n
+        )
         return out
 
     def predict_many(
@@ -269,81 +187,13 @@ class PredictionEngine:
             served.metric_names, served.version, out.T
         )
 
-    # -- streaming path -------------------------------------------------
-    @staticmethod
-    def _check_request(
-        served: ServedModel, x: np.ndarray, state: int
-    ) -> np.ndarray:
-        """Validate one sample vector with the bulk path's check."""
+    def predict(
+        self, served: ServedModel, x: np.ndarray, state: int
+    ) -> PredictionResult:
+        """Answer one sample vector as a one-row request."""
         x = np.asarray(x, dtype=float)
         if x.ndim != 1:
             raise ValueError(
                 f"x must be one sample vector, got shape {x.shape}"
             )
-        _check_rows(served, x[None, :], [state])
-        return x
-
-    def predict(
-        self, served: ServedModel, x: np.ndarray, state: int
-    ) -> PredictionResult:
-        """Answer one request, coalescing with concurrent ones.
-
-        The request is validated before it is queued, so a bad one
-        fails alone. Blocks until the request's batch flushes — at most
-        one ``flush_interval`` after enqueueing (a full queue, another
-        thread's flush or this thread's own timeout flush, whichever
-        happens first).
-        """
-        started = time.perf_counter()
-        x = self._check_request(served, x, int(state))
-        item = _Pending(served=served, x=x, state=int(state))
-        with self._lock:
-            self._queue.append(item)
-            flush_now = (
-                len(self._queue) >= self.batch.max_batch_size
-                or self.batch.flush_interval == 0.0
-            )
-        if flush_now:
-            self.flush()
-        timeout = self.batch.wait_timeout()
-        while not item.event.wait(timeout=timeout):
-            self.flush()
-        if item.error is not None:
-            raise item.error
-        self.metrics.record_request(time.perf_counter() - started)
-        return results_from_columns(
-            served.metric_names, served.version, item.row.T
-        )[0]
-
-    def flush(self) -> int:
-        """Drain the queue now; returns how many requests were answered.
-
-        Each served model's queued rows go through the bulk path's
-        computation as one request list.
-        """
-        with self._lock:
-            pending, self._queue = self._queue, []
-        by_model: Dict[int, List[_Pending]] = {}
-        for item in pending:
-            by_model.setdefault(id(item.served), []).append(item)
-        answered = 0
-        for items in by_model.values():
-            try:
-                out = self._compute(
-                    items[0].served,
-                    np.stack([item.x for item in items]),
-                    np.array([item.state for item in items]),
-                )
-            except Exception as error:  # propagate to every waiter
-                for item in items:
-                    item.error = error
-                    item.event.set()
-                continue
-            for j, item in enumerate(items):
-                item.row = out[j:j + 1]
-                item.event.set()
-            answered += len(items)
-        return answered
-
-    def __repr__(self) -> str:  # pragma: no cover - cosmetic
-        return f"PredictionEngine(batch={self.batch})"
+        return self.predict_many(served, x[None, :], [state])[0]

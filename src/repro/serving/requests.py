@@ -15,20 +15,7 @@ from typing import Dict, Iterable, List, Sequence
 
 import numpy as np
 
-__all__ = ["PredictionRequest", "PredictionResult", "results_from_columns"]
-
-
-@dataclass(frozen=True)
-class PredictionRequest:
-    """One inference request: sample ``x`` at knob ``state`` of ``model``.
-
-    ``model`` names a registry entry served by the :class:`ModelService`;
-    the engine itself is handed the resolved model object and ignores it.
-    """
-
-    x: np.ndarray
-    state: int
-    model: str = ""
+__all__ = ["PredictionResult", "results_from_columns"]
 
 
 @dataclass

@@ -3,12 +3,12 @@
 ``ModelService`` is what an application embeds: it resolves ``name@vN``
 keys against a :class:`~repro.serving.registry.ModelRegistry`, keeps one
 immutable :class:`~repro.serving.engine.ServedModel` per name, and routes
-every prediction through the shared micro-batching
+every prediction through one
 :class:`~repro.serving.engine.PredictionEngine`.
 
 Hot swap: ``load``/``swap`` build the replacement ``ServedModel`` fully
-*before* publishing it under the service lock, and every in-flight batch
-computes against the reference it captured at enqueue time — so under a
+*before* publishing it under the service lock, and every request
+computes against the reference it captured when it started — so under a
 concurrent swap each request is answered entirely by the old or entirely
 by the new version, never a mixture. Nothing is cached across requests,
 so a swap leaves no stale answers behind.
@@ -29,24 +29,21 @@ from typing import Dict, List, Optional, Sequence
 import numpy as np
 
 from repro.errors import ServingError
-from repro.serving.engine import BatchConfig, PredictionEngine, ServedModel
+from repro.serving.engine import PredictionEngine, ServedModel
 from repro.serving.metrics import ServingMetrics
 from repro.serving.registry import ModelRegistry, RegistryError
-from repro.serving.requests import PredictionRequest, PredictionResult
+from repro.serving.requests import PredictionResult
 
 __all__ = ["ModelService"]
 
 
 class ModelService:
-    """Serve registry models through one micro-batching engine.
+    """Serve registry models through one prediction engine.
 
     Parameters
     ----------
     registry:
         The model store to resolve keys against.
-    batch:
-        Micro-batching of the streaming :meth:`predict` path (see
-        :class:`BatchConfig`); the defaults serve well-batched traffic.
     metrics:
         Optional shared :class:`ServingMetrics`; one is created if absent.
     """
@@ -54,12 +51,11 @@ class ModelService:
     def __init__(
         self,
         registry: ModelRegistry,
-        batch: Optional[BatchConfig] = None,
         metrics: Optional[ServingMetrics] = None,
     ) -> None:
         self.registry = registry
         self.metrics = metrics if metrics is not None else ServingMetrics()
-        self.engine = PredictionEngine(metrics=self.metrics, batch=batch)
+        self.engine = PredictionEngine(metrics=self.metrics)
         self._lock = threading.RLock()
         self._served: Dict[str, ServedModel] = {}
 
@@ -165,7 +161,8 @@ class ModelService:
     def predict(
         self, name: str, x: np.ndarray, state: int
     ) -> PredictionResult:
-        """Answer one request against the current version of ``name``."""
+        """Answer one sample vector against the current version of
+        ``name``, as a one-row request."""
         return self.engine.predict(self.served_model(name), x, state)
 
     def predict_many(
@@ -173,14 +170,6 @@ class ModelService:
     ) -> List[PredictionResult]:
         """Answer a bulk request list (one matmul per state group)."""
         return self.engine.predict_many(self.served_model(name), x, states)
-
-    def submit(self, request: PredictionRequest) -> PredictionResult:
-        """Answer one :class:`PredictionRequest` (streaming path)."""
-        return self.predict(request.model, request.x, request.state)
-
-    def flush(self) -> int:
-        """Force a micro-batch flush; returns answered request count."""
-        return self.engine.flush()
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return (

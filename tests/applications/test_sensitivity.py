@@ -5,9 +5,9 @@ import pytest
 from scipy.stats import norm
 
 from repro.applications.sensitivity import format_ranking, rank_sensitivities
+from repro.applications.tuning import TuningPolicy
 from repro.applications.yield_estimation import (
     Specification,
-    YieldEstimator,
     analytic_spec_yield,
 )
 from repro.basis.polynomial import LinearBasis, QuadraticBasis
@@ -109,8 +109,8 @@ class TestAnalyticYield:
     def test_matches_monte_carlo_estimator(self):
         model, basis = planted_model()
         spec = Specification("m", 11.0, "max")
-        estimator = YieldEstimator({"m": model}, basis)
-        mc = estimator.state_yields([spec], n_samples=200_000, seed=0)[0]
+        policy = TuningPolicy({"m": model}, basis, [spec])
+        mc = policy.summarize(n_samples=200_000, seed=0).state_yields[0]
         exact = analytic_spec_yield(model, basis, spec, 0)
         assert mc == pytest.approx(exact, abs=0.01)
 

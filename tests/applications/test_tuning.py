@@ -46,7 +46,7 @@ class TestSelectStates:
         rng = np.random.default_rng(2)
         x = rng.standard_normal((50, policy.basis.n_variables))
         choice = policy.select_states(x)
-        passes = policy._estimator.pass_matrix(x, policy.specs)
+        passes = policy.pass_matrix(x)
         for row, state in enumerate(choice):
             if state >= 0:
                 assert passes[row, state]

@@ -1,11 +1,11 @@
-"""Tests for yield estimation."""
+"""Tests for yield specifications and the model-based yields."""
 
 import numpy as np
 import pytest
 
+from repro.applications.tuning import TuningPolicy
 from repro.applications.yield_estimation import (
     Specification,
-    YieldEstimator,
     analytic_spec_yield,
     monte_carlo_yield,
 )
@@ -87,71 +87,70 @@ def fitted_models(lna_dataset):
     return models, basis
 
 
-class TestYieldEstimator:
+def state_yields(models, basis, specs, n_samples, seed):
+    """Per-state model yields from one ``TuningPolicy.summarize`` draw."""
+    policy = TuningPolicy(models, basis, specs)
+    return policy.summarize(n_samples=n_samples, seed=seed).state_yields
+
+
+class TestTuningPolicyYields:
     def test_state_yields_in_unit_interval(self, fitted_models):
         models, basis = fitted_models
-        estimator = YieldEstimator(models, basis)
-        specs = [Specification("nf_db", 1.6, "max")]
-        yields = estimator.state_yields(specs, n_samples=2000, seed=0)
-        assert yields.shape == (estimator.n_states,)
+        policy = TuningPolicy(
+            models, basis, [Specification("nf_db", 1.6, "max")]
+        )
+        yields = policy.summarize(n_samples=2000, seed=0).state_yields
+        assert yields.shape == (policy.n_states,)
         assert np.all((0.0 <= yields) & (yields <= 1.0))
 
     def test_loose_spec_full_yield(self, fitted_models):
         models, basis = fitted_models
-        estimator = YieldEstimator(models, basis)
         specs = [Specification("nf_db", 100.0, "max")]
-        yields = estimator.state_yields(specs, n_samples=500, seed=1)
+        yields = state_yields(models, basis, specs, 500, seed=1)
         assert np.allclose(yields, 1.0)
 
     def test_impossible_spec_zero_yield(self, fitted_models):
         models, basis = fitted_models
-        estimator = YieldEstimator(models, basis)
         specs = [Specification("gain_db", 1000.0, "min")]
-        yields = estimator.state_yields(specs, n_samples=500, seed=2)
+        yields = state_yields(models, basis, specs, 500, seed=2)
         assert np.allclose(yields, 0.0)
 
     def test_tunable_yield_at_least_best_state(self, fitted_models):
         models, basis = fitted_models
-        estimator = YieldEstimator(models, basis)
         specs = [
             Specification("nf_db", 1.55, "max"),
             Specification("gain_db", 24.0, "min"),
         ]
-        fixed = estimator.state_yields(specs, n_samples=3000, seed=3)
-        tunable = estimator.tunable_yield(specs, n_samples=3000, seed=3)
-        assert tunable >= fixed.max() - 1e-12
+        summary = TuningPolicy(models, basis, specs).summarize(
+            n_samples=3000, seed=3
+        )
+        assert summary.tuned_yield >= summary.state_yields.max() - 1e-12
 
     def test_tighter_spec_lowers_yield(self, fitted_models):
         models, basis = fitted_models
-        estimator = YieldEstimator(models, basis)
-        loose = estimator.state_yields(
-            [Specification("nf_db", 2.0, "max")], 2000, seed=4
+        loose = state_yields(
+            models, basis, [Specification("nf_db", 2.0, "max")], 2000, seed=4
         )
-        tight = estimator.state_yields(
-            [Specification("nf_db", 1.4, "max")], 2000, seed=4
+        tight = state_yields(
+            models, basis, [Specification("nf_db", 1.4, "max")], 2000, seed=4
         )
         assert np.all(tight <= loose + 1e-12)
 
     def test_unknown_metric_rejected(self, fitted_models):
         models, basis = fitted_models
-        estimator = YieldEstimator(models, basis)
         with pytest.raises(KeyError):
-            estimator.state_yields(
-                [Specification("zzz", 1.0, "max")], 100
-            )
+            TuningPolicy(models, basis, [Specification("zzz", 1.0, "max")])
 
     def test_empty_specs_rejected(self, fitted_models):
         models, basis = fitted_models
-        estimator = YieldEstimator(models, basis)
         with pytest.raises(ValueError, match="at least one"):
-            estimator.state_yields([], 100)
+            TuningPolicy(models, basis, [])
 
     def test_model_yield_matches_direct_mc(self, fitted_models, tiny_lna):
         """Model-based yield should track the simulator's own yield."""
         models, basis = fitted_models
-        estimator = YieldEstimator(models, basis)
         spec = Specification("gain_db", 24.0, "min")
-        model_yield = estimator.state_yields([spec], 4000, seed=5)[0]
+        model_yield = state_yields(models, basis, [spec], 4000, seed=5)[0]
         direct = monte_carlo_yield(tiny_lna, 0, [spec], 300, seed=5)
         assert abs(model_yield - direct) < 0.15
 
@@ -189,10 +188,10 @@ class _LinearCircuit:
 
 class TestNumericalErrors:
     def test_pass_matrix_rejects_non_finite_predictions(self):
-        estimator = YieldEstimator({"m": _NanModel()}, LinearBasis(3))
         spec = Specification("m", 1.5, "max")
+        policy = TuningPolicy({"m": _NanModel()}, LinearBasis(3), [spec])
         with pytest.raises(NumericalError, match="'m'.*state 1"):
-            estimator.pass_matrix(np.zeros((4, 3)), [spec])
+            policy.pass_matrix(np.zeros((4, 3)))
 
     def test_monte_carlo_yield_rejects_non_finite_circuit_values(self):
         class NanCircuit(_LinearCircuit):
@@ -230,18 +229,16 @@ class TestLinearCircuitAgreement:
 
     def test_estimator_matches_direct_mc(self, fitted):
         circuit, model, basis = fitted
-        estimator = YieldEstimator({"gain": model}, basis)
         spec = Specification("gain", 2.0, "min")
-        model_yields = estimator.state_yields([spec], 20_000, seed=5)
+        model_yields = state_yields({"gain": model}, basis, [spec], 20_000, 5)
         for k in range(circuit.n_states):
             direct = monte_carlo_yield(circuit, k, [spec], 2_000, seed=5)
             assert abs(model_yields[k] - direct) < 0.04
 
     def test_estimator_matches_analytic(self, fitted):
         circuit, model, basis = fitted
-        estimator = YieldEstimator({"gain": model}, basis)
         spec = Specification("gain", 2.0, "min")
-        model_yields = estimator.state_yields([spec], 50_000, seed=6)
+        model_yields = state_yields({"gain": model}, basis, [spec], 50_000, 6)
         for k in range(circuit.n_states):
             exact = analytic_spec_yield(model, basis, spec, k)
             assert abs(model_yields[k] - exact) < 0.015

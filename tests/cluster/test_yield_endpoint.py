@@ -14,7 +14,12 @@ import pytest
 
 from repro.applications.yield_estimation import Specification
 from repro.basis.polynomial import LinearBasis
-from repro.cluster import ClusterConfig, ClusterService
+from repro.cluster import (
+    ClusterClient,
+    ClusterConfig,
+    ClusterListener,
+    ClusterService,
+)
 from repro.core.cbmf import CBMF
 from repro.core.em import EmConfig
 from repro.core.somp_init import InitConfig
@@ -153,7 +158,50 @@ class TestHappyPath:
         )
 
 
+@pytest.fixture(scope="module")
+def listener(cluster):
+    with ClusterListener(cluster, "127.0.0.1:0") as ln:
+        yield ln
+
+
+@pytest.fixture(params=["in-process", "client"])
+def caller(request, cluster, listener):
+    """The same ``yield_report`` call in process and over TCP."""
+    if request.param == "in-process":
+        yield cluster
+        return
+    with ClusterClient(listener.address) as client:
+        yield client
+
+
 class TestValidation:
+    def test_negative_state_rejected(self, caller):
+        """Regression: ``-1`` indexed from the end and came back as the
+        last state's yield, labelled ``-1``."""
+        with pytest.raises(ValueError, match="state -1 out of range"):
+            caller.yield_report("lna", SPECS, n_samples=50, states=[-1])
+
+    def test_state_past_last_rejected(self, caller, cluster_modelset):
+        """Regression: raised a bare ``IndexError``, and only after the
+        shard had computed the full report."""
+        k = cluster_modelset.n_states
+        with pytest.raises(ValueError, match=f"state {k} out of range"):
+            caller.yield_report("lna", SPECS, n_samples=50, states=[1, k])
+
+    @pytest.mark.parametrize(
+        "spec",
+        [
+            {"metric": "nf_db", "bound": float("nan"), "kind": "max"},
+            {"metric": "nf_db", "bound": 1.6, "kind": "between"},
+        ],
+        ids=["nan-bound", "bad-kind"],
+    )
+    def test_bad_dict_spec_rejected(self, caller, spec):
+        """Regression: dict specs skipped ``Specification`` and reached
+        the shard, coming back as ``ServingError``."""
+        with pytest.raises(ValueError, match="finite|kind"):
+            caller.yield_report("lna", [spec], n_samples=50)
+
     def test_empty_specs_rejected(self, cluster):
         with pytest.raises(ValueError, match="at least one"):
             cluster.yield_report("lna", [])

@@ -104,22 +104,19 @@ class TestCustomCircuit:
             assert error < 5.0, metric
 
     def test_yield_application_works(self, rc_filter):
-        from repro.applications import Specification
+        from repro.applications import Specification, TuningPolicy
         from repro.modelset import PerformanceModelSet
 
         data = MonteCarloEngine(rc_filter, seed=2).run(25)
         models = PerformanceModelSet.fit_dataset(
             data, method="somp", seed=0
         )
-        from repro.applications import YieldEstimator
-
-        estimator = YieldEstimator(models.as_mapping(), models.basis)
         nominal_fc = rc_filter.nominal(rc_filter.states[0])["fc_mhz"]
-        yields = estimator.state_yields(
+        policy = TuningPolicy(
+            models.as_mapping(), models.basis,
             [Specification("fc_mhz", nominal_fc, "max")],
-            n_samples=2000,
-            seed=0,
         )
+        yields = policy.summarize(n_samples=2000, seed=0).state_yields
         # The spec sits at state 0's median → ~50 % there, ~100 % at the
         # lower-corner states.
         assert yields[0] == pytest.approx(0.5, abs=0.15)

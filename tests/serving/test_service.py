@@ -7,20 +7,12 @@ import numpy as np
 import pytest
 
 from repro.core.frozen import FrozenModel
-from repro.serving import (
-    BatchConfig,
-    ModelService,
-    PredictionRequest,
-    RegistryError,
-)
+from repro.serving import ModelService, RegistryError
 
 
 @pytest.fixture()
 def service(registry, pushed):
-    return ModelService(
-        registry,
-        batch=BatchConfig(max_batch_size=16, flush_interval=0.001),
-    )
+    return ModelService(registry)
 
 
 class TestLifecycle:
@@ -34,12 +26,6 @@ class TestLifecycle:
         expected = served_modelset.predict_point(x, 3)
         for metric, value in expected.items():
             assert result.values[metric] == pytest.approx(value, abs=1e-12)
-
-    def test_submit_request_object(self, service, lna_dataset):
-        service.load("lna")
-        x = np.zeros(lna_dataset.n_variables)
-        result = service.submit(PredictionRequest(x=x, state=0, model="lna"))
-        assert set(result.values) == {"gain_db", "iip3_dbm", "nf_db"}
 
     def test_alias(self, service, lna_dataset):
         service.load("lna@v1", alias="lna-canary")
@@ -113,10 +99,7 @@ class TestHotSwap:
             "lna", PerformanceModelSet(shifted, served_modelset.basis)
         )
 
-        service = ModelService(
-            registry,
-            batch=BatchConfig(max_batch_size=4, flush_interval=0.0005),
-        )
+        service = ModelService(registry)
         service.load("lna@v1")
         x = np.random.default_rng(2).standard_normal(
             lna_dataset.n_variables

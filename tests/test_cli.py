@@ -47,7 +47,6 @@ class TestParser:
         assert args.command == "serve-bench"
         assert args.requests == 10_000
         assert args.method == "cbmf"
-        assert args.batch_size == 64
 
     def test_sweep_fit_defaults(self):
         args = build_parser().parse_args(["sweep-fit"])

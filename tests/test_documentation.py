@@ -2,16 +2,23 @@
 
 Walks the installed package and asserts every public module, class,
 function and method carries a docstring — keeping deliverable (e) honest
-as the codebase grows.
+as the codebase grows — and that the python examples in the docs import
+only names that exist.
 """
 
+import ast
 import importlib
 import inspect
 import pkgutil
+import re
+from pathlib import Path
 
 import pytest
 
 import repro
+
+ROOT = Path(__file__).resolve().parents[1]
+PYTHON_BLOCK = re.compile(r"```python\n(.*?)```", re.S)
 
 IGNORED_METHOD_NAMES = {
     # dataclass/namedtuple machinery and dunders other than __init__
@@ -88,3 +95,31 @@ def test_every_module_under_src_is_importable():
     """No orphan modules with syntax errors hiding in the tree."""
     count = sum(1 for _ in iter_public_modules())
     assert count >= 30  # the package is genuinely large
+
+
+def documented_imports():
+    """``(doc, module, name)`` for every ``from repro… import name`` in
+    the python code blocks of docs/api.md and README.md."""
+    for doc in (ROOT / "docs" / "api.md", ROOT / "README.md"):
+        for block in PYTHON_BLOCK.findall(doc.read_text()):
+            for node in ast.walk(ast.parse(block)):
+                if not isinstance(node, ast.ImportFrom):
+                    continue
+                if (node.module or "").split(".")[0] != "repro":
+                    continue
+                for alias in node.names:
+                    yield doc.name, node.module, alias.name
+
+
+def test_documented_imports_resolve():
+    """A doc example may not import a name the package no longer has."""
+    imports = list(documented_imports())
+    assert imports
+    missing = [
+        f"{doc}: from {module} import {name}"
+        for doc, module, name in imports
+        if not hasattr(importlib.import_module(module), name)
+    ]
+    assert not missing, "docs import missing names:\n  " + "\n  ".join(
+        missing
+    )

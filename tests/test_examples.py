@@ -71,6 +71,21 @@ class TestExamples:
         assert "CLUSTER REPORT" in out
         assert "aggregate: requests=" in out
 
+    def test_yield_and_tuning(self):
+        out = run_example("yield_and_tuning.py")
+        assert "per-state yield (model-based, 50k MC):" in out
+        assert "best fixed state:" in out
+        assert "tuned yield (each die picks its state):" in out
+        assert "validation, state" in out
+
+    def test_adaptive_vco(self):
+        out = run_example("adaptive_vco.py")
+        assert "active fit — strategy=variance metric=freq_ghz" in out
+        assert "stopped: std_collapse" in out
+        assert "→ converged at" in out
+        assert "measured held-out error:" in out
+        assert "error-bar calibration:" in out
+
     def test_yield_demo(self):
         out = run_example("yield_demo.py")
         assert "solver=kron" in out

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.applications import Specification, YieldEstimator
+from repro.applications import Specification, TuningPolicy
 from repro.basis.polynomial import LinearBasis
 from repro.modelset import PerformanceModelSet
 
@@ -89,10 +89,11 @@ class TestPredict:
         assert np.allclose(direct, via_set)
 
     def test_feeds_yield_estimator(self, model_set):
-        estimator = YieldEstimator(model_set.as_mapping(), model_set.basis)
-        yields = estimator.state_yields(
-            [Specification("nf_db", 2.0, "max")], n_samples=500, seed=0
+        policy = TuningPolicy(
+            model_set.as_mapping(), model_set.basis,
+            [Specification("nf_db", 2.0, "max")],
         )
+        yields = policy.summarize(n_samples=500, seed=0).state_yields
         assert yields.shape == (model_set.n_states,)
 
 
