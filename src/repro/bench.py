@@ -1,7 +1,7 @@
 """Benchmark regression harness — ``python -m repro bench``.
 
-Measures the two hot paths of the package and emits machine-readable
-reports next to the working directory:
+Measures the package's hot paths in six suites and emits
+machine-readable reports next to the working directory:
 
 * ``BENCH_fit.json`` — the C-BMF fitting pipeline on the figure-2 LNA
   workload: full ``CBMF.fit``, the S-OMP/cross-validation initializer,
@@ -37,39 +37,60 @@ over ``--repeats`` runs so a single scheduler hiccup cannot fail CI.
 
 ``--check`` compares the fresh numbers against committed baselines
 (``benchmarks/baselines/`` by default) and exits non-zero when any
-timing regresses beyond ``--threshold`` (default 1.5×). The kron suite
-additionally enforces *absolute* gates — fit speedup ≥ 5× over the dual
-path and coefficient parity ≤ 1e-8 — independent of the baseline; the
-yield suite likewise gates on shrunk-beats-independent RMSE and on the
-shard's memory peak staying far below the dense-covariance cost.
-Baselines are refreshed by re-running with ``--update-baseline`` on a
-quiet machine.
+timing regresses beyond ``--threshold`` (default 1.5×), when the fresh
+report fails a gate of its baseline, or when a suite has no baseline.
+Gates are data: each baseline carries a ``gates`` list such as
+``{"path": "details.speedup_vs_dual", "min": 5}``, checked by
+:func:`check_gates`. They hold each suite's absolute claims (the kron
+speedup and parity, the yield RMSE win and memory ceiling) and the work
+counts its code path fixes (EM iterations, the posterior solver, state
+groups per call, rows after the stream), which do not drift with the
+host the way timings do. Baselines are refreshed by re-running with
+``--update-baseline`` on a quiet machine; the gates carry forward
+unchanged, so a change that moves a gated count edits the gate in its
+own diff.
+
+The demo workloads the CLI also drives live here once: the LNA fleet
+fit (:func:`demo_fleet`), random request batches
+(:func:`request_batches`), the threaded traffic driver
+(:func:`drive_requests`), the K-point sweep problem
+(:func:`sweep_problem`) and the registry scope
+(:func:`registry_scope`).
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
+import operator
 import platform
 import statistics
 import sys
+import threading
 import time
 from pathlib import Path
-from typing import Callable, Dict, List, Optional
+from typing import Callable, Dict, Iterator, List, Mapping, Sequence, Tuple
 
 import numpy as np
 
 __all__ = [
+    "DEFAULT_SWEEP_SPECS",
+    "SUITES",
     "bench_cluster",
     "bench_fit",
     "bench_kron",
     "bench_serving",
     "bench_streaming",
     "bench_yield",
-    "check_kron_gates",
+    "check_gates",
     "check_regression",
-    "check_yield_gates",
+    "demo_fleet",
+    "drive_requests",
     "main_bench",
+    "registry_scope",
+    "request_batches",
+    "sweep_problem",
 ]
 
 #: Default location of the committed baselines.
@@ -77,6 +98,11 @@ BASELINE_DIR = Path(__file__).resolve().parents[2] / "benchmarks" / "baselines"
 
 #: Default regression gate: fail CI when current > baseline × threshold.
 DEFAULT_THRESHOLD = 1.5
+
+#: Pass/fail bounds on the lna_sweep metrics, chosen so the per-state
+#: yield actually varies across the sweep (the regime shrinkage is for).
+#: The yield suite and ``yield-report`` both use them.
+DEFAULT_SWEEP_SPECS = ("s21_db>=16.5", "nf_db<=1.55")
 
 
 def _median_seconds(fn: Callable[[], object], repeats: int) -> float:
@@ -97,6 +123,132 @@ def _environment() -> Dict[str, str]:
     }
 
 
+# ----------------------------------------------------------------------
+# Demo workloads (shared with the CLI).
+# ----------------------------------------------------------------------
+@contextlib.contextmanager
+def registry_scope(root=None) -> Iterator:
+    """A :class:`~repro.serving.ModelRegistry` at ``root``, or in a
+    temporary directory removed on exit when ``root`` is empty."""
+    from repro.serving import ModelRegistry
+
+    if root:
+        yield ModelRegistry(root)
+        return
+    import tempfile
+
+    with tempfile.TemporaryDirectory() as tmp:
+        yield ModelRegistry(tmp)
+
+
+def demo_fleet(n_states: int, n_train: int, method: str, seed: int):
+    """Fit the demo LNA model set on ``n_train`` rows per state."""
+    from repro.circuits.lna import TunableLNA
+    from repro.modelset import PerformanceModelSet
+    from repro.simulate.montecarlo import MonteCarloEngine
+
+    lna = TunableLNA(n_states=n_states, n_variables=None)
+    data = MonteCarloEngine(lna, seed=seed).run(n_train + 4)
+    train, _ = data.split(n_train)
+    return PerformanceModelSet.fit_dataset(train, method=method, seed=seed)
+
+
+def request_batches(
+    rng: np.random.Generator,
+    shapes: Mapping[str, Tuple[int, int]],
+    n_requests: int,
+    rows: int,
+) -> Dict[str, List[Tuple[np.ndarray, np.ndarray]]]:
+    """``n_requests`` random ``(x, states)`` batches of ``rows`` rows per
+    model name; ``shapes`` maps each name to ``(n_variables, n_states)``."""
+    return {
+        name: [
+            (
+                rng.standard_normal((rows, n_variables)),
+                rng.integers(0, n_states, rows),
+            )
+            for _ in range(n_requests)
+        ]
+        for name, (n_variables, n_states) in shapes.items()
+    }
+
+
+def drive_requests(predict, batches) -> Dict[str, int]:
+    """Send every batch through ``predict(name, x, states)``, one thread
+    per model name, and tally the typed serving failures.
+
+    Returns the counts of ``shed`` / ``deadline`` / ``crash`` failures
+    and of ``other`` serving errors; any other exception propagates.
+    """
+    from concurrent.futures import ThreadPoolExecutor
+
+    from repro.errors import (
+        DeadlineError,
+        ServingError,
+        ShardCrashError,
+        ShedError,
+    )
+
+    kinds = {ShedError: "shed", DeadlineError: "deadline",
+             ShardCrashError: "crash"}
+    errors = {"shed": 0, "deadline": 0, "crash": 0, "other": 0}
+    lock = threading.Lock()
+
+    def drive(name):
+        for x, states in batches[name]:
+            try:
+                predict(name, x, states)
+            except ServingError as error:
+                with lock:
+                    errors[kinds.get(type(error), "other")] += 1
+
+    with ThreadPoolExecutor(max_workers=len(batches)) as pool:
+        for future in [pool.submit(drive, name) for name in batches]:
+            future.result()
+    return errors
+
+
+def sweep_problem(n_points: int, n_train: int, seed: int):
+    """The K-point swept-LNA problem as ``(train, basis, designs)``.
+
+    Every sweep point sees the same ``n_train`` process samples, so the
+    designs are state-balanced and C-BMF takes the Kronecker solver.
+    """
+    from repro.basis.polynomial import LinearBasis
+    from repro.paper import simulate_sweep
+
+    train = simulate_sweep(
+        n_points=n_points, n_samples_per_state=n_train, seed=seed
+    )
+    basis = LinearBasis(train.n_variables)
+    return train, basis, basis.expand_states(train.inputs())
+
+
+def _sweep_cbmf(seed: int):
+    """The kron and yield suites' estimator: a single-point CV grid.
+
+    Every arm deterministically picks the same (r0, σ0, θ), so fits on
+    different solver paths are comparable to solver round-off.
+    """
+    from repro.core.cbmf import CBMF
+    from repro.core.em import EmConfig
+    from repro.core.somp_init import InitConfig
+
+    return CBMF(
+        init_config=InitConfig(
+            r0_grid=(0.95,),
+            sigma0_grid=(0.15,),
+            n_basis_grid=(20,),
+            n_folds=2,
+        ),
+        em_config=EmConfig(max_iterations=8),
+        seed=seed,
+    )
+
+
+# ----------------------------------------------------------------------
+# Suites.
+# ----------------------------------------------------------------------
 def bench_fit(
     scale_name: str = "medium", repeats: int = 3, seed: int = 2016
 ) -> dict:
@@ -133,14 +285,16 @@ def bench_fit(
         lambdas=np.full(basis.n_basis, 0.5),
         correlation=ar1_correlation(len(designs), 0.8),
     )
+
+    def solve():
+        return compute_posterior(
+            designs, targets, prior, 0.01, want_blocks=True
+        )
+
     # Timed on one BLAS thread, the way every fit runs the same call.
     with one_blas_thread():
-        posterior_median = _median_seconds(
-            lambda: compute_posterior(
-                designs, targets, prior, 0.01, want_blocks=True
-            ),
-            max(repeats, 5),
-        )
+        posterior_median = _median_seconds(solve, max(repeats, 5))
+        posterior_solver = solve().solver
 
     report = fits[-1]
     return {
@@ -167,6 +321,7 @@ def bench_fit(
             "em_posterior_seconds": report.em.posterior_seconds,
             "em_mstep_seconds": report.em.mstep_seconds,
             "n_active": report.n_active,
+            "posterior_solver": posterior_solver,
         },
     }
 
@@ -180,29 +335,22 @@ def bench_serving(
     seed: int = 2016,
 ) -> dict:
     """Time the serving path: bulk ``predict_many`` throughput."""
-    import tempfile
-
-    from repro.circuits.lna import TunableLNA
-    from repro.modelset import PerformanceModelSet
-    from repro.serving import ModelRegistry, ModelService
-    from repro.simulate.montecarlo import MonteCarloEngine
+    from repro.serving import ModelService
 
     rng = np.random.default_rng(seed)
-    lna = TunableLNA(n_states=n_states, n_variables=None)
-    data = MonteCarloEngine(lna, seed=seed).run(n_train + 4)
-    train, _ = data.split(n_train)
-    models = PerformanceModelSet.fit_dataset(train, method="cbmf", seed=seed)
-
-    pool = rng.standard_normal((n_pool, lna.n_variables))
+    models = demo_fleet(n_states, n_train, "cbmf", seed)
+    pool = rng.standard_normal((n_pool, models.basis.n_variables))
     x = pool[rng.integers(0, n_pool, n_requests)]
     states = rng.integers(0, n_states, n_requests)
 
-    with tempfile.TemporaryDirectory() as tmp:
-        registry = ModelRegistry(tmp)
+    with registry_scope() as registry:
         registry.push("lna", models)
         service = ModelService(registry)
         service.load("lna@latest")
-        service.predict_many("lna", x, states)  # warm caches/BLAS
+        service.predict_many("lna", x, states)  # warm BLAS
+        # The warm call is the service's first, so its batch counter
+        # holds the state groups one call computes.
+        state_groups = service.metrics.snapshot()["batches"]
         batched_median = _median_seconds(
             lambda: service.predict_many("lna", x, states), repeats
         )
@@ -224,6 +372,7 @@ def bench_serving(
         },
         "details": {
             "requests_per_second": n_requests / batched_median,
+            "state_groups_per_call": state_groups,
         },
     }
 
@@ -236,10 +385,6 @@ STREAM_SCALES = {
     ),
     "medium": dict(
         n_states=8, n_variables=40, n_train=30, batch_size=10, n_batches=20
-    ),
-    "paper": dict(
-        n_states=16, n_variables=120, n_train=60, batch_size=16,
-        n_batches=30,
     ),
 }
 
@@ -342,19 +487,6 @@ CLUSTER_SCALES = {
 }
 
 
-def _drive_requests(predict_many, names, batches) -> None:
-    """Hammer a predict_many callable from one thread per model name."""
-    from concurrent.futures import ThreadPoolExecutor
-
-    def one(name):
-        for x, states in batches[name]:
-            predict_many(name, x, states)
-
-    with ThreadPoolExecutor(max_workers=len(names)) as pool:
-        for future in [pool.submit(one, name) for name in names]:
-            future.result()
-
-
 def _cluster_pss(registry, key, store_dir, n_shards: int):
     """Summed store PSS of ``n_shards`` workers mapping one store."""
     from repro.cluster import ClusterConfig, ClusterService
@@ -390,90 +522,72 @@ def bench_cluster(
     size.
     """
     import os
-    import tempfile
 
     from repro.basis.polynomial import LinearBasis
-    from repro.circuits.lna import TunableLNA
-    from repro.cluster import ClusterConfig, ClusterService
+    from repro.cluster import (
+        ClusterClient,
+        ClusterConfig,
+        ClusterListener,
+        ClusterService,
+    )
     from repro.core.frozen import FrozenModel
     from repro.modelset import PerformanceModelSet
-    from repro.serving import ModelRegistry, ModelService
-    from repro.simulate.montecarlo import MonteCarloEngine
+    from repro.serving import ModelService
 
     dims = CLUSTER_SCALES[scale_name]
     n_shards = dims["n_shards"]
     rng = np.random.default_rng(seed)
-    lna = TunableLNA(n_states=4, n_variables=None)
-    data = MonteCarloEngine(lna, seed=seed).run(16)
-    train, _ = data.split(12)
-    models = PerformanceModelSet.fit_dataset(train, method="somp", seed=seed)
+    models = demo_fleet(4, 12, "somp", seed)
 
     names = [f"lna{i}" for i in range(n_shards)]
-    batches = {
-        name: [
-            (
-                rng.standard_normal(
-                    (dims["rows_per_request"], lna.n_variables)
-                ),
-                rng.integers(0, 4, dims["rows_per_request"]),
-            )
-            for _ in range(dims["n_requests"])
-        ]
-        for name in names
-    }
+    batches = request_batches(
+        rng,
+        {name: (models.basis.n_variables, 4) for name in names},
+        dims["n_requests"],
+        dims["rows_per_request"],
+    )
     n_rows_total = n_shards * dims["n_requests"] * dims["rows_per_request"]
 
-    with tempfile.TemporaryDirectory() as tmp:
-        registry = ModelRegistry(Path(tmp) / "registry")
+    def timed_traffic(predict) -> float:
+        def drive():
+            errors = drive_requests(predict, batches)
+            if any(errors.values()):
+                raise RuntimeError(f"benchmark requests failed: {errors}")
+
+        drive()  # warm BLAS and connections
+        return _median_seconds(drive, repeats)
+
+    with registry_scope() as registry:
         for name in names:
             registry.push(name, models)
 
         service = ModelService(registry)
         for name in names:
             service.load(f"{name}@latest")
-        _drive_requests(service.predict_many, names, batches)  # warm BLAS
-        single_median = _median_seconds(
-            lambda: _drive_requests(
-                service.predict_many, names, batches
-            ),
-            repeats,
-        )
+        single_median = timed_traffic(service.predict_many)
 
         config = ClusterConfig(n_shards=n_shards)
         with ClusterService(
             registry,
             [f"{name}@v1" for name in names],
             config=config,
-            store_dir=Path(tmp) / "store",
+            store_dir=registry.root / "store",
         ) as cluster:
-            _drive_requests(cluster.predict_many, names, batches)
-            cluster_median = _median_seconds(
-                lambda: _drive_requests(
-                    cluster.predict_many, names, batches
-                ),
-                repeats,
-            )
+            cluster_median = timed_traffic(cluster.predict_many)
 
             # TCP-loopback lane: same cluster, same request stream, but
             # every call crosses a real socket through the listener and
             # pays frame encode/decode both ways.
-            from repro.cluster import ClusterClient, ClusterListener
-
             with ClusterListener(cluster, "127.0.0.1:0") as listener:
                 clients = {
                     name: ClusterClient(listener.address)
                     for name in names
                 }
                 try:
-                    tcp_predict = lambda name, x, states: (  # noqa: E731
-                        clients[name].predict_many(name, x, states)
-                    )
-                    _drive_requests(tcp_predict, names, batches)
-                    tcp_median = _median_seconds(
-                        lambda: _drive_requests(
-                            tcp_predict, names, batches
-                        ),
-                        repeats,
+                    tcp_median = timed_traffic(
+                        lambda name, x, states: clients[name].predict_many(
+                            name, x, states
+                        )
                     )
                 finally:
                     for client in clients.values():
@@ -492,10 +606,10 @@ def bench_cluster(
         )
         registry.push("pss", big)
         pss_single, store_bytes = _cluster_pss(
-            registry, "pss@v1", Path(tmp) / "pss_store_1", 1
+            registry, "pss@v1", registry.root / "pss_store_1", 1
         )
         pss_multi, _ = _cluster_pss(
-            registry, "pss@v1", Path(tmp) / "pss_store_n", n_shards
+            registry, "pss@v1", registry.root / "pss_store_n", n_shards
         )
 
     return {
@@ -535,13 +649,6 @@ def bench_cluster(
     }
 
 
-#: Absolute gates of the kron suite (ISSUE 8 acceptance criteria):
-#: the Kronecker fit must beat the dual-path fit by at least this factor
-#: at K=201 while matching its coefficients (and the dense oracle on the
-#: sub-problem) to this relative tolerance.
-KRON_MIN_SPEEDUP = 5.0
-KRON_PARITY_RTOL = 1e-8
-
 #: The K-scaling curve recorded in the kron report / EXPERIMENTS.md.
 KRON_K_CURVE = (32, 64, 128, 201)
 
@@ -567,36 +674,14 @@ def bench_kron(
     """
     import os
 
-    from repro.basis.polynomial import LinearBasis
-    from repro.core.cbmf import CBMF
-    from repro.core.em import EmConfig
     from repro.core.posterior import compute_posterior, compute_posterior_dense
     from repro.core.prior import CorrelatedPrior, ar1_correlation
-    from repro.core.somp_init import InitConfig
-    from repro.paper import simulate_sweep
 
-    train = simulate_sweep(
-        n_points=n_points, n_samples_per_state=n_train, seed=seed
-    )
-    basis = LinearBasis(train.n_variables)
-    designs = basis.expand_states(train.inputs())
+    train, basis, designs = sweep_problem(n_points, n_train, seed)
     targets = train.targets("s21_db")
-    # Single-point CV grid: both arms deterministically pick the same
-    # (r0, σ0, θ), so the final coefficients are comparable bit-for-bit
-    # modulo solver round-off — the parity this report gates on.
-    init_config = InitConfig(
-        r0_grid=(0.95,),
-        sigma0_grid=(0.15,),
-        n_basis_grid=(20,),
-        n_folds=2,
-    )
-    em_config = EmConfig(max_iterations=8)
 
-    def fit(n_states: int) -> "CBMF":
-        model = CBMF(
-            init_config=init_config, em_config=em_config, seed=seed
-        )
-        return model.fit(designs[:n_states], targets[:n_states])
+    def fit(n_states: int):
+        return _sweep_cbmf(seed).fit(designs[:n_states], targets[:n_states])
 
     def timed_dual(fn):
         previous = os.environ.get("REPRO_POSTERIOR_SOLVER")
@@ -688,43 +773,13 @@ def bench_kron(
     }
 
 
-def check_kron_gates(report: dict) -> List[str]:
-    """Absolute acceptance gates of the kron report (baseline-free)."""
-    problems: List[str] = []
-    details = report.get("details", {})
-    speedup = details.get("speedup_vs_dual", 0.0)
-    if speedup < KRON_MIN_SPEEDUP:
-        problems.append(
-            f"kron fit speedup {speedup:.2f}× below the "
-            f"{KRON_MIN_SPEEDUP}× gate"
-        )
-    for key in ("coef_parity_vs_dual", "kron_vs_dense_parity",
-                "dual_vs_dense_parity"):
-        value = details.get(key)
-        if value is None or value > KRON_PARITY_RTOL:
-            problems.append(
-                f"kron parity {key}={value} exceeds {KRON_PARITY_RTOL}"
-            )
-    if details.get("solver_used") != "kron":
-        problems.append(
-            "the benchmarked fit did not take the Kronecker path "
-            f"(solver_used={details.get('solver_used')!r})"
-        )
-    return problems
-
-
-#: Fixed workload of the yield suite (ISSUE 9 acceptance criteria).
-#: The config is deliberately independent of ``--quick``/``--scale`` so
-#: the committed baseline matches every invocation; only ``repeats``
-#: (excluded from the fingerprint) varies.
-YIELD_SPECS = ("s21_db>=16.5", "nf_db<=1.55")
+#: Fixed workload of the yield suite. The config is deliberately
+#: independent of ``--quick``/``--scale`` so the committed baseline
+#: matches every invocation; only ``repeats`` (excluded from the
+#: fingerprint) varies.
 YIELD_BUDGET = 400
 YIELD_MC_SAMPLES = 100_000
 YIELD_REPS = 5
-#: The shard's tracemalloc peak while answering the yield query must
-#: stay below this fraction of the dense MK × MK covariance it would
-#: take to answer naively (K=201, M≈238 ⇒ ~18 GB dense).
-YIELD_PEAK_FRACTION = 0.01
 
 
 def bench_yield(
@@ -739,56 +794,35 @@ def bench_yield(
     single-point CV grid as the kron suite), then treats the fitted
     posterior mean as the population: a ``YIELD_MC_SAMPLES``-sample
     Monte-Carlo pass defines the ground-truth per-state yield under
-    ``YIELD_SPECS``. Each of ``YIELD_REPS`` seeded replicates draws the
-    small equal budget (``YIELD_BUDGET`` samples/state), estimates
-    per-state yield twice from the *same* draws — independently
-    (empirical fraction per state) and with correlation-shared
-    shrinkage across the learned K × K prior correlation — and the
-    report records both RMSE curves. The cluster arm pushes the frozen
-    set to a one-shard ``ClusterService`` and answers the identical
-    query through the ``yield`` frame, recording the shard's
-    tracemalloc peak next to the dense-covariance byte count it must
-    stay far below.
+    ``DEFAULT_SWEEP_SPECS``. Each of ``YIELD_REPS`` seeded replicates
+    draws the small equal budget (``YIELD_BUDGET`` samples/state),
+    estimates per-state yield twice from the *same* draws —
+    independently (empirical fraction per state) and with
+    correlation-shared shrinkage across the learned K × K prior
+    correlation — and the report records both RMSE curves. The cluster
+    arm pushes the frozen set to a one-shard ``ClusterService`` and
+    answers the identical query through the ``yield`` frame, recording
+    the shard's tracemalloc peak next to the dense-covariance byte
+    count it must stay far below.
     """
-    import tempfile
-
     from repro.applications.yield_estimation import Specification
-    from repro.basis.polynomial import LinearBasis
     from repro.cluster import ClusterConfig, ClusterService
-    from repro.core.cbmf import CBMF
-    from repro.core.em import EmConfig
-    from repro.core.somp_init import InitConfig
     from repro.modelset import PerformanceModelSet
-    from repro.paper import simulate_sweep
-    from repro.serving import ModelRegistry
     from repro.yields import compute_yield_report, sample_state_estimates
 
-    train = simulate_sweep(
-        n_points=n_points, n_samples_per_state=n_train, seed=seed
-    )
-    basis = LinearBasis(train.n_variables)
-    designs = basis.expand_states(train.inputs())
-    init_config = InitConfig(
-        r0_grid=(0.95,),
-        sigma0_grid=(0.15,),
-        n_basis_grid=(20,),
-        n_folds=2,
-    )
-    em_config = EmConfig(max_iterations=8)
-
+    train, basis, designs = sweep_problem(n_points, n_train, seed)
     fitted = {}
 
     def one_fit():
         for metric in train.metric_names:
-            model = CBMF(
-                init_config=init_config, em_config=em_config, seed=seed
+            fitted[metric] = _sweep_cbmf(seed).fit(
+                designs, train.targets(metric)
             )
-            fitted[metric] = model.fit(designs, train.targets(metric))
 
     fit_median = _median_seconds(one_fit, max(repeats, 1))
     models = PerformanceModelSet(fitted, basis)
     frozen = models.freeze()
-    specs = [Specification.parse(text) for text in YIELD_SPECS]
+    specs = [Specification.parse(text) for text in DEFAULT_SWEEP_SPECS]
 
     # Ground truth: the big Monte-Carlo pass through the same frozen
     # models, on a stream disjoint from every replicate's budget draw.
@@ -826,20 +860,19 @@ def bench_yield(
     # store, peak-metered. The dense alternative would materialize an
     # MK × MK covariance — record its byte cost next to the peak.
     dense_cov_bytes = int((basis.n_basis * n_points) ** 2 * 8)
-    with tempfile.TemporaryDirectory() as tmp:
-        registry = ModelRegistry(Path(tmp) / "registry")
+    with registry_scope() as registry:
         registry.push("lna_sweep", models)
         config = ClusterConfig(n_shards=1)
         with ClusterService(
             registry,
             ["lna_sweep@v1"],
             config=config,
-            store_dir=Path(tmp) / "store",
+            store_dir=registry.root / "store",
         ) as cluster:
             started = time.perf_counter()
             reply = cluster.yield_report(
                 "lna_sweep",
-                list(YIELD_SPECS),
+                list(DEFAULT_SWEEP_SPECS),
                 n_samples=YIELD_BUDGET,
                 seed=seed,
                 deadline_s=300.0,
@@ -850,7 +883,7 @@ def bench_yield(
         "kind": "yield",
         "config": {
             "circuit": "lna_sweep",
-            "specs": list(YIELD_SPECS),
+            "specs": list(DEFAULT_SWEEP_SPECS),
             "n_points": n_points,
             "n_train_per_state": n_train,
             "n_basis": basis.n_basis,
@@ -888,31 +921,52 @@ def bench_yield(
     }
 
 
-def check_yield_gates(report: dict) -> List[str]:
-    """Absolute acceptance gates of the yield report (baseline-free)."""
+# ----------------------------------------------------------------------
+# Gates.
+# ----------------------------------------------------------------------
+#: Gate operators: ``min``/``max`` inclusive, ``above``/``below`` strict.
+GATE_OPERATORS = {
+    "min": operator.ge,
+    "max": operator.le,
+    "above": operator.gt,
+    "below": operator.lt,
+    "equals": operator.eq,
+}
+
+
+def check_gates(report: dict, gates: Sequence[dict]) -> List[str]:
+    """Check ``report`` against a baseline's ``gates``; return failures.
+
+    Each gate is ``{"path": "details.key", <operator>: bound}`` with one
+    operator of :data:`GATE_OPERATORS`; the dotted path indexes the
+    report. A missing or ``None`` value fails its gate, and so does a
+    value the operator cannot compare with the bound.
+    """
     problems: List[str] = []
-    details = report.get("details", {})
-    raw = details.get("rmse_independent")
-    shrunk = details.get("rmse_shrunk")
-    if raw is None or shrunk is None or not shrunk < raw:
-        problems.append(
-            f"shrunk yield RMSE {shrunk} does not beat the independent "
-            f"estimator {raw} at equal budget"
-        )
-    if not details.get("correlation_shared"):
-        problems.append(
-            "the report did not use the learned correlation "
-            "(correlation_shared is false — shrinkage fell back to "
-            "independent intervals)"
-        )
-    peak = details.get("cluster_peak_bytes")
-    dense = details.get("dense_cov_bytes")
-    if peak is None or dense is None or peak >= dense * YIELD_PEAK_FRACTION:
-        problems.append(
-            f"cluster yield endpoint peaked at {peak} bytes — not far "
-            f"enough below the dense MK×MK covariance ({dense} bytes, "
-            f"gate {YIELD_PEAK_FRACTION:.0%})"
-        )
+    for gate in gates:
+        ops = [key for key in gate if key != "path"]
+        if (
+            "path" not in gate
+            or len(ops) != 1
+            or ops[0] not in GATE_OPERATORS
+        ):
+            raise ValueError(
+                f"malformed gate {gate!r}: want a 'path' and one of "
+                f"{sorted(GATE_OPERATORS)}"
+            )
+        op, bound = ops[0], gate[ops[0]]
+        value = report
+        for part in gate["path"].split("."):
+            value = value.get(part) if isinstance(value, dict) else None
+        try:
+            ok = value is not None and bool(GATE_OPERATORS[op](value, bound))
+        except TypeError:
+            ok = False
+        if not ok:
+            problems.append(
+                f"{report.get('kind')}: gate {gate['path']} {op} "
+                f"{bound!r} failed (got {value!r})"
+            )
     return problems
 
 
@@ -951,13 +1005,26 @@ def check_regression(
     return problems
 
 
+# ----------------------------------------------------------------------
+# Entry point.
+# ----------------------------------------------------------------------
+#: Suite name -> benchmark, in run order. Each writes ``BENCH_<suite>.json``.
+SUITES: Dict[str, Callable[..., dict]] = {
+    "fit": bench_fit,
+    "serving": bench_serving,
+    "streaming": bench_streaming,
+    "cluster": bench_cluster,
+    "kron": bench_kron,
+    "yield": bench_yield,
+}
+
+#: Suites whose workload size follows ``--scale``; the others are fixed.
+SCALED_SUITES = ("fit", "streaming", "cluster")
+
+
 def _write_report(report: dict, path: Path) -> None:
     path.write_text(json.dumps(report, indent=2, sort_keys=True) + "\n")
     print(f"wrote {path}")
-
-
-#: Suite registry: report filename per suite, in run order.
-SUITES = ("fit", "serving", "streaming", "cluster", "kron", "yield")
 
 
 def main_bench(args: argparse.Namespace) -> int:
@@ -967,128 +1034,53 @@ def main_bench(args: argparse.Namespace) -> int:
     output_dir = Path(args.output_dir)
     output_dir.mkdir(parents=True, exist_ok=True)
     baseline_dir = Path(args.baseline_dir)
-    selected = SUITES if args.suite == "all" else (args.suite,)
+    selected = list(SUITES) if args.suite == "all" else [args.suite]
 
     reports: Dict[str, dict] = {}
-
-    if "fit" in selected:
-        print(
-            f"benchmarking fit path (scale={scale_name}, "
-            f"repeats={repeats}) ..."
-        )
-        fit_report = bench_fit(scale_name, repeats=repeats, seed=args.seed)
-        timings = fit_report["timings_seconds"]
-        print(
-            f"  cbmf_fit {timings['cbmf_fit']:.3f}s  "
-            f"somp_init {timings['somp_init']:.3f}s  "
-            f"em {timings['em']:.3f}s  "
-            f"posterior {timings['posterior_solve'] * 1e3:.2f}ms"
-        )
-        reports["BENCH_fit.json"] = fit_report
-
-    if "serving" in selected:
-        print("benchmarking serving path ...")
-        serving_report = bench_serving(repeats=repeats, seed=args.seed)
-        serving_t = serving_report["timings_seconds"]["predict_many"]
-        print(
-            f"  predict_many {serving_t:.3f}s "
-            f"({serving_report['details']['requests_per_second']:,.0f} "
-            "req/s)"
-        )
-        reports["BENCH_serving.json"] = serving_report
-
-    if "streaming" in selected:
-        print("benchmarking streaming path ...")
-        streaming_report = bench_streaming(
-            scale_name, repeats=repeats, seed=args.seed
-        )
-        streaming_t = streaming_report["timings_seconds"]
-        print(
-            f"  absorb_batch {streaming_t['absorb_batch'] * 1e3:.3f}ms  "
-            f"full_refit {streaming_t['full_refit']:.3f}s  "
-            f"(speedup "
-            f"{streaming_report['details']['absorb_vs_refit_speedup']:.0f}x)"
-        )
-        reports["BENCH_streaming.json"] = streaming_report
-
-    if "cluster" in selected:
-        print("benchmarking cluster path ...")
-        cluster_report = bench_cluster(
-            scale_name, repeats=repeats, seed=args.seed
-        )
-        cluster_d = cluster_report["details"]
-        ratio = cluster_d["pss_share_ratio"]
-        print(
-            f"  single {cluster_d['single_rows_per_second']:,.0f} rows/s  "
-            f"cluster {cluster_d['cluster_rows_per_second']:,.0f} rows/s  "
-            f"tcp {cluster_d['tcp_rows_per_second']:,.0f} rows/s  "
-            f"(speedup {cluster_d['cluster_vs_single_speedup']:.2f}x on "
-            f"{cluster_d['cpu_count']} cores; tcp/socketpair "
-            f"{cluster_d['tcp_vs_socketpair_ratio']:.2f}x; pss share "
-            f"{'n/a' if ratio is None else f'{ratio:.2f}x'})"
-        )
-        reports["BENCH_cluster.json"] = cluster_report
-
-    if "kron" in selected:
-        print("benchmarking kron solver (K=201 sweep, dual arm runs "
-              "once) ...")
-        kron_report = bench_kron(repeats=repeats, seed=args.seed)
-        kron_t = kron_report["timings_seconds"]
-        kron_d = kron_report["details"]
-        print(
-            f"  kron_fit {kron_t['kron_fit_k201']:.3f}s  "
-            f"dual_fit {kron_t['dual_fit_k201']:.3f}s  "
-            f"(speedup {kron_d['speedup_vs_dual']:.1f}x, coef parity "
-            f"{kron_d['coef_parity_vs_dual']:.2e})"
-        )
-        reports["BENCH_kron.json"] = kron_report
-
-    if "yield" in selected:
-        print("benchmarking yield estimator (K=201 sweep, "
-              f"{YIELD_MC_SAMPLES:,}-sample MC ground truth) ...")
-        yield_report = bench_yield(repeats=repeats, seed=args.seed)
-        yield_d = yield_report["details"]
-        print(
-            f"  rmse independent {yield_d['rmse_independent']:.4f}  "
-            f"shrunk {yield_d['rmse_shrunk']:.4f}  "
-            f"(improvement {yield_d['rmse_improvement']:.2f}x; shard "
-            f"peak {yield_d['cluster_peak_bytes'] / 1e6:.1f} MB vs "
-            f"{yield_d['dense_cov_bytes'] / 1e9:.1f} GB dense)"
-        )
-        reports["BENCH_yield.json"] = yield_report
-
-    for name, report in reports.items():
-        _write_report(report, output_dir / name)
+    for suite in selected:
+        kwargs = {"repeats": repeats, "seed": args.seed}
+        if suite in SCALED_SUITES:
+            kwargs["scale_name"] = scale_name
+        print(f"benchmarking {suite} ...")
+        report = SUITES[suite](**kwargs)
+        print("  " + "  ".join(
+            f"{name} {seconds:.4g}s"
+            for name, seconds in report["timings_seconds"].items()
+        ))
+        reports[suite] = report
+        _write_report(report, output_dir / f"BENCH_{suite}.json")
 
     if args.update_baseline:
         baseline_dir.mkdir(parents=True, exist_ok=True)
-        for name, report in reports.items():
-            _write_report(report, baseline_dir / name)
+        for suite, report in reports.items():
+            path = baseline_dir / f"BENCH_{suite}.json"
+            gates = (
+                json.loads(path.read_text()).get("gates", [])
+                if path.exists() else []
+            )
+            _write_report(dict(report, gates=gates), path)
         return 0
 
     if args.check:
         failures: List[str] = []
-        for name, report in reports.items():
-            baseline_path = baseline_dir / name
-            if baseline_path.exists():
-                baseline = json.loads(baseline_path.read_text())
-                failures.extend(
-                    check_regression(
-                        report, baseline, threshold=args.threshold
-                    )
-                )
-            else:
-                print(f"no baseline at {baseline_path}; skipping check")
-            if report["kind"] == "kron":
-                # Absolute gates, enforced with or without a baseline.
-                failures.extend(check_kron_gates(report))
-            if report["kind"] == "yield":
-                failures.extend(check_yield_gates(report))
+        for suite, report in reports.items():
+            path = baseline_dir / f"BENCH_{suite}.json"
+            if not path.exists():
+                failures.append(f"{suite}: no baseline at {path}")
+                continue
+            baseline = json.loads(path.read_text())
+            failures.extend(
+                check_regression(report, baseline, threshold=args.threshold)
+            )
+            failures.extend(check_gates(report, baseline.get("gates", [])))
         if failures:
             for message in failures:
                 print(f"REGRESSION: {message}", file=sys.stderr)
             return 1
-        print(f"no regressions beyond {args.threshold}× — ok")
+        print(
+            f"no regressions beyond {args.threshold}× and every gate "
+            "holds — ok"
+        )
     return 0
 
 
@@ -1096,19 +1088,21 @@ def add_bench_parser(sub) -> None:
     """Register the ``bench`` subcommand on a subparsers object."""
     p = sub.add_parser(
         "bench",
-        help="fit/serving benchmarks with JSON reports and regression gate",
+        help="benchmark suites with JSON reports, regression and gate checks",
     )
     p.add_argument(
         "--quick", action="store_true",
         help="small scale + fewer repeats (the CI perf-smoke setting)",
     )
     p.add_argument(
-        "--suite", default="all", choices=("all",) + SUITES,
+        "--suite", default="all", choices=("all", *SUITES),
         help="run a single benchmark suite (default: all)",
     )
     p.add_argument(
-        "--scale", default="medium",
-        help="fit workload scale when not --quick (default: medium)",
+        # The scales every scaled suite defines.
+        "--scale", default="medium", choices=("small", "medium"),
+        help="fit/streaming/cluster workload scale when not --quick "
+             "(default: medium)",
     )
     p.add_argument("--repeats", type=int, default=None,
                    help="timing repeats per stage (median is reported)")
@@ -1121,11 +1115,13 @@ def add_bench_parser(sub) -> None:
     )
     p.add_argument(
         "--check", action="store_true",
-        help="compare against the baselines; exit 1 on regression",
+        help="compare against the baselines and their gates; exit 1 on "
+             "a regression, a failed gate or a missing baseline",
     )
     p.add_argument(
         "--update-baseline", action="store_true",
-        help="overwrite the baselines with this run's numbers",
+        help="overwrite the baselines with this run's numbers, keeping "
+             "their gates",
     )
     p.add_argument("--threshold", type=float, default=DEFAULT_THRESHOLD,
                    help="regression gate ratio (default: 1.5)")

@@ -6,7 +6,6 @@
     python -m repro fig3 [--metric nf_db|gain_db|i1db_dbm]
     python -m repro all
     python -m repro info
-    python -m repro serve-bench [--requests N] [--method NAME]
     python -m repro sweep-fit [--points K] [--train N] [--registry DIR]
     python -m repro yield-report [--spec 'nf_db<=1.55'] [--points K] ...
     python -m repro bench [--quick] [--check] [--update-baseline]
@@ -17,8 +16,8 @@
 
 Output is the paper-style text tables; `reproduce_paper.py` in examples/
 offers the same through a script, and the benchmark suite wraps the same
-entry points with assertions. ``serve-bench`` exercises the serving
-subsystem end-to-end (fit → registry push → one-row vs bulk serving),
+entry points with assertions. ``bench`` runs the benchmark suites of
+:mod:`repro.bench` and gates them against the committed baselines,
 ``registry`` manages a model registry directory, ``active-fit`` runs
 the active-learning loop on a circuit (checkpointable with ``--checkpoint``
 / ``--resume``, optionally pushing the converged model to a registry with
@@ -47,12 +46,22 @@ exercise crash detection and respawn.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import sys
 import time
 from typing import List, Optional
 
 from repro import __version__
+from repro.bench import (
+    DEFAULT_SWEEP_SPECS,
+    add_bench_parser,
+    demo_fleet,
+    drive_requests,
+    registry_scope,
+    request_batches,
+    sweep_problem,
+)
 from repro.evaluation.report import (
     format_comparison_table,
     format_sweep_table,
@@ -114,131 +123,25 @@ def _cmd_info(args) -> None:
     print(f"methods: {', '.join(available_methods())}")
 
 
-def _cmd_serve_bench(args) -> int:
-    """Fit, push, then benchmark the serving path (single vs batched)."""
-    import tempfile
-
-    import numpy as np
-
-    from repro.circuits.lna import TunableLNA
-    from repro.modelset import PerformanceModelSet
-    from repro.serving import ModelRegistry, ModelService
-    from repro.simulate.montecarlo import MonteCarloEngine
-
-    rng = np.random.default_rng(args.seed)
-    lna = TunableLNA(n_states=args.states, n_variables=None)
-    print(
-        f"fitting {args.method} model set — LNA, K={args.states} states, "
-        f"{lna.n_variables} variables, {args.train}/state training samples"
-    )
-    data = MonteCarloEngine(lna, seed=args.seed).run(args.train + 6)
-    train, _ = data.split(args.train)
-    started = time.perf_counter()
-    models = PerformanceModelSet.fit_dataset(
-        train, method=args.method, seed=args.seed
-    )
-    print(f"fit {len(models.metric_names)} metrics "
-          f"in {time.perf_counter() - started:.2f}s")
-
-    def run(registry):
-        entry = registry.push("lna", models)
-        print(f"pushed {entry.key} -> {entry.path}")
-
-        n = args.requests
-        pool = rng.standard_normal((args.pool, lna.n_variables))
-        x = pool[rng.integers(0, args.pool, n)]
-        states = rng.integers(0, args.states, n)
-
-        def single_pass():
-            service = ModelService(registry)
-            service.load("lna@latest")
-            t0 = time.perf_counter()
-            for i in range(n):
-                service.predict("lna", x[i], states[i])
-            return time.perf_counter() - t0, service
-
-        def batched_pass():
-            service = ModelService(registry)
-            service.load("lna@latest")
-            t0 = time.perf_counter()
-            results = service.predict_many("lna", x, states)
-            return time.perf_counter() - t0, service, results
-
-        single_pass()  # warm numpy/BLAS so the comparison is fair
-        batched_pass()
-        # Best-of-N: a shared box's scheduler noise dwarfs the effect
-        # being measured, and the minimum is the least-noisy estimator.
-        t_single = min(single_pass()[0] for _ in range(args.trials))
-        t_batch, service, results = batched_pass()
-        for _ in range(args.trials - 1):
-            t_again, _, _ = batched_pass()
-            t_batch = min(t_batch, t_again)
-
-        # Bit-identity: the engine computes one FrozenModel.predict per
-        # state on that state's stacked rows in request order; mirror
-        # that exact call here.
-        frozen = models.freeze()
-        worst = 0.0
-        for state in range(args.states):
-            rows = np.flatnonzero(states == state)
-            if not rows.size:
-                continue
-            design = models.basis.expand(x[rows])
-            for metric, model in frozen.items():
-                served = np.array([results[i].values[metric] for i in rows])
-                diff = np.abs(served - model.predict(design, state))
-                worst = max(worst, float(diff.max()))
-        identical = worst == 0.0
-        snapshot = service.metrics.snapshot()
-        print()
-        print(f"requests            {n} "
-              f"({args.pool} unique points x {args.states} states)")
-        print(f"single-request      {t_single:.3f}s "
-              f"({n / t_single:,.0f} req/s)")
-        print(f"micro-batched       {t_batch:.3f}s "
-              f"({n / t_batch:,.0f} req/s)")
-        print(f"speedup             {t_single / t_batch:.1f}x")
-        print(f"bit-identical       {identical} "
-              f"(max |diff| = {worst:.1e})")
-        print(f"batches             {snapshot['batches']} "
-              f"(mean size {snapshot['mean_batch_size']:.0f})")
-        print(f"p50 / p95 latency   {snapshot['p50_latency_ms']:.4f} / "
-              f"{snapshot['p95_latency_ms']:.4f} ms")
-        return 0 if identical else 1
-
-    if args.registry:
-        return run(ModelRegistry(args.registry))
-    with tempfile.TemporaryDirectory() as tmp:
-        return run(ModelRegistry(tmp))
-
-
 def _cmd_sweep_fit(args) -> int:
     """Swept-frequency fit: simulate → Kronecker-path fit → registry."""
-    import tempfile
-
     import numpy as np
 
     from repro.modelset import PerformanceModelSet
-    from repro.paper import simulate_sweep
-    from repro.serving import ModelRegistry
 
     print(
         f"simulating lna_sweep — {args.points} frequency points, "
         f"{args.train} shared process samples"
     )
     started = time.perf_counter()
-    train = simulate_sweep(
-        n_points=args.points,
-        n_samples_per_state=args.train,
-        seed=args.seed,
-    )
+    train, basis, _ = sweep_problem(args.points, args.train, args.seed)
     print(f"dataset ready in {time.perf_counter() - started:.2f}s "
           f"(K={train.n_states}, {train.n_variables} variables)")
 
     metrics = (args.metric,) if args.metric else None
     started = time.perf_counter()
     models = PerformanceModelSet.fit_dataset(
-        train, method="cbmf", metrics=metrics, seed=args.seed
+        train, method="cbmf", basis=basis, metrics=metrics, seed=args.seed
     )
     elapsed = time.perf_counter() - started
     solvers = {
@@ -253,11 +156,10 @@ def _cmd_sweep_fit(args) -> int:
           f"(posterior solver: "
           f"{', '.join(f'{m}={s}' for m, s in sorted(solvers.items()))})")
 
-    def run(registry):
+    with registry_scope(args.registry) as registry:
         entry = registry.push(args.name, models)
         print(f"pushed {entry.key} -> {entry.path}")
         loaded = registry.load(entry.key)
-
         rng = np.random.default_rng(args.seed)
         probe = rng.standard_normal((8, train.n_variables))
         worst = 0.0
@@ -269,29 +171,16 @@ def _cmd_sweep_fit(args) -> int:
                     worst,
                     float(np.max(np.abs(live[metric] - back[metric]))),
                 )
-        ok = worst <= 1e-12
-        print(f"round-trip          parity={'ok' if ok else 'FAILED'} "
-              f"(max |live - reloaded| = {worst:.1e})")
-        return 0 if ok else 1
-
-    if args.registry:
-        return run(ModelRegistry(args.registry))
-    with tempfile.TemporaryDirectory() as tmp:
-        return run(ModelRegistry(tmp))
-
-
-#: Default pass/fail bounds of ``yield-report`` on the lna_sweep
-#: metrics — chosen so the per-state yield actually varies across the
-#: sweep (the regime shrinkage is for). Loading other metrics via
-#: ``--key`` requires explicit ``--spec``.
-DEFAULT_SWEEP_SPECS = ("s21_db>=16.5", "nf_db<=1.55")
+    ok = worst <= 1e-12
+    print(f"round-trip          parity={'ok' if ok else 'FAILED'} "
+          f"(max |live - reloaded| = {worst:.1e})")
+    return 0 if ok else 1
 
 
 def _cmd_yield_report(args) -> int:
     """Fleet yield report: fit (or load) a model set, shrink, print."""
     from repro.applications.yield_estimation import Specification
     from repro.modelset import PerformanceModelSet
-    from repro.paper import simulate_sweep
     from repro.yields import (
         compute_yield_report,
         format_yield_report,
@@ -323,14 +212,10 @@ def _cmd_yield_report(args) -> int:
             f"simulating lna_sweep — {args.points} frequency points, "
             f"{args.train} shared process samples"
         )
-        train = simulate_sweep(
-            n_points=args.points,
-            n_samples_per_state=args.train,
-            seed=args.seed,
-        )
+        train, basis, _ = sweep_problem(args.points, args.train, args.seed)
         started = time.perf_counter()
         models = PerformanceModelSet.fit_dataset(
-            train, method="cbmf", seed=args.seed
+            train, method="cbmf", basis=basis, seed=args.seed
         )
         print(f"fit {len(models.metric_names)} metrics in "
               f"{time.perf_counter() - started:.2f}s")
@@ -458,14 +343,12 @@ def _cmd_active_fit(args) -> int:
 
 def _cmd_stream(args) -> int:
     """Run the streaming loop: seed fit → absorb → refit → push → swap."""
-    import tempfile
-
     import numpy as np
 
     from repro.basis.polynomial import LinearBasis
     from repro.core.cbmf import CBMF
     from repro.errors import SimulationError
-    from repro.serving import ModelRegistry, ModelService
+    from repro.serving import ModelService
     from repro.streaming import (
         DriftConfig,
         OnlineCBMF,
@@ -563,7 +446,7 @@ def _cmd_stream(args) -> int:
         refit_window=args.refit_window,
     )
 
-    def run(registry):
+    with registry_scope(args.registry) as registry:
         serving = ModelService(registry)
         service = StreamingService(
             online, registry, config, serving=serving
@@ -601,11 +484,6 @@ def _cmd_stream(args) -> int:
               f"{result.values[metric]:.4f})")
         return 0
 
-    if args.registry:
-        return run(ModelRegistry(args.registry))
-    with tempfile.TemporaryDirectory() as tmp:
-        return run(ModelRegistry(tmp))
-
 
 def _parse_canary(spec: str):
     """Parse ``name@vA:name@vB:weight`` into ``(stable, canary, weight)``."""
@@ -628,34 +506,34 @@ def _parse_canary(spec: str):
     return keys[0], keys[1], weight
 
 
-def _fit_demo_fleet(args):
-    """Fit the demo LNA model set used by the cluster subcommands."""
-    from repro.circuits.lna import TunableLNA
-    from repro.modelset import PerformanceModelSet
-    from repro.simulate.montecarlo import MonteCarloEngine
+@contextlib.contextmanager
+def _demo_cluster(args):
+    """Fit the demo LNA fleet, push it twice per name (``v2`` is the
+    hot-swap/canary target) and serve every ``v1`` from a started
+    cluster; yields ``(cluster, names, n_variables)``."""
+    from repro.cluster import ClusterConfig, ClusterService
 
-    lna = TunableLNA(n_states=args.states, n_variables=None)
+    models = demo_fleet(args.states, args.train, args.method, args.seed)
     print(
-        f"fitting {args.method} model set — LNA, K={args.states} states, "
-        f"{lna.n_variables} variables, {args.train}/state training samples"
+        f"fitted {args.method} model set — LNA, K={args.states} states, "
+        f"{models.basis.n_variables} variables, {args.train}/state "
+        "training samples"
     )
-    data = MonteCarloEngine(lna, seed=args.seed).run(args.train + 4)
-    train, _ = data.split(args.train)
-    models = PerformanceModelSet.fit_dataset(
-        train, method=args.method, seed=args.seed
-    )
-    return lna, models
-
-
-def _cluster_config(args):
-    from repro.cluster import ClusterConfig
-
-    return ClusterConfig(
+    names = [f"lna{i}" for i in range(args.shards)]
+    config = ClusterConfig(
         n_shards=args.shards,
         replication=args.replication,
         max_queue_rows=args.queue_rows,
         default_deadline_s=args.deadline,
     )
+    with registry_scope(args.registry) as registry:
+        for name in names:
+            registry.push(name, models)  # v1
+            registry.push(name, models)  # v2
+        with ClusterService(
+            registry, [f"{name}@v1" for name in names], config=config
+        ) as cluster:
+            yield cluster, names, models.basis.n_variables
 
 
 def _cmd_cluster(args) -> int:
@@ -668,78 +546,35 @@ def _cmd_cluster(args) -> int:
 
 def _cluster_serve(args) -> int:
     """Fit a demo fleet and serve it over a TCP/Unix listener."""
-    import tempfile
+    from repro.cluster import ClusterListener
 
-    from repro.cluster import ClusterListener, ClusterService
-    from repro.serving import ModelRegistry
-
-    _, models = _fit_demo_fleet(args)
-    names = [f"lna{i}" for i in range(args.shards)]
-
-    def run(registry):
-        for name in names:
-            registry.push(name, models)  # v1
-            registry.push(name, models)  # v2 (hot-swap/canary target)
-        keys = [f"{name}@v1" for name in names]
-        service = ClusterService(registry, keys, config=_cluster_config(args))
-        with service:
-            with ClusterListener(service, args.listen) as listener:
-                print(
-                    f"cluster listening on {listener.address} — "
-                    f"{args.shards} shards, replication "
-                    f"{args.replication}, serving {', '.join(names)}",
-                    flush=True,
-                )
-                try:
-                    if args.duration > 0:
-                        time.sleep(args.duration)
-                    else:
-                        while True:
-                            time.sleep(3600.0)
-                except KeyboardInterrupt:
-                    print("\nshutting down")
-            print(service.report())
-        return 0
-
-    if args.registry:
-        return run(ModelRegistry(args.registry))
-    with tempfile.TemporaryDirectory() as tmp:
-        return run(ModelRegistry(tmp))
-
-
-def _drive_cluster_traffic(names, batches, predict, max_workers):
-    """Hammer ``predict(name, x, states)``; return the error tally."""
-    from concurrent.futures import ThreadPoolExecutor
-
-    from repro.errors import (
-        DeadlineError,
-        ServingError,
-        ShardCrashError,
-        ShedError,
-    )
-
-    errors = {"shed": 0, "deadline": 0, "crash": 0, "other": 0}
-
-    def drive(name, chunk):
-        for x, states in chunk:
+    with _demo_cluster(args) as (service, names, _):
+        with ClusterListener(service, args.listen) as listener:
+            print(
+                f"cluster listening on {listener.address} — "
+                f"{args.shards} shards, replication "
+                f"{args.replication}, serving {', '.join(names)}",
+                flush=True,
+            )
             try:
-                predict(name, x, states)
-            except ShedError:
-                errors["shed"] += 1
-            except DeadlineError:
-                errors["deadline"] += 1
-            except ShardCrashError:
-                errors["crash"] += 1
-            except ServingError:
-                errors["other"] += 1
+                if args.duration > 0:
+                    time.sleep(args.duration)
+                else:
+                    while True:
+                        time.sleep(3600.0)
+            except KeyboardInterrupt:
+                print("\nshutting down")
+        print(service.report())
+    return 0
 
-    def run_chunk(slicer):
-        with ThreadPoolExecutor(max_workers=max_workers) as pool:
-            list(pool.map(
-                lambda name: drive(name, slicer(batches[name])), names
-            ))
 
-    return errors, run_chunk
+def _print_traffic(total_rows, elapsed, where, errors) -> None:
+    print()
+    print(f"rows served         {total_rows} in {elapsed:.3f}s "
+          f"({total_rows / elapsed:,.0f} rows/s, {where})")
+    print(f"request failures    shed={errors['shed']} "
+          f"deadline={errors['deadline']} "
+          f"crash={errors['crash']} other={errors['other']}")
 
 
 def _cluster_connect_bench(args) -> int:
@@ -760,46 +595,40 @@ def _cluster_connect_bench(args) -> int:
                 f"{name}={routes[name]['stable']}" for name in names
             )
         )
+        unsized = [name for name in names if not routes[name]["n_variables"]]
+        if unsized:
+            print(
+                f"{unsized[0]}: registry manifest records no "
+                "n_variables; cannot size request vectors"
+            )
+            return 1
+        # States come from the served fleet, so any K is driven in range.
+        batches = request_batches(
+            np.random.default_rng(args.seed),
+            {
+                name: (routes[name]["n_variables"], routes[name]["n_states"])
+                for name in names
+            },
+            args.requests,
+            args.rows,
+        )
         clients = {name: ClusterClient(args.connect) for name in names}
         try:
-            batches = {}
-            for i, name in enumerate(names):
-                n_variables = routes[name].get("n_variables")
-                if not n_variables:
-                    print(
-                        f"{name}: registry manifest records no "
-                        "n_variables; cannot size request vectors"
-                    )
-                    return 1
-                rng = np.random.default_rng([args.seed, i])
-                batches[name] = [
-                    (
-                        rng.standard_normal((args.rows, n_variables)),
-                        rng.integers(0, args.states, args.rows),
-                    )
-                    for _ in range(args.requests)
-                ]
-            errors, run_chunk = _drive_cluster_traffic(
-                names,
-                batches,
+            started = time.perf_counter()
+            errors = drive_requests(
                 lambda name, x, states: clients[name].predict_many(
                     name, x, states
                 ),
-                max_workers=len(names),
+                batches,
             )
-            started = time.perf_counter()
-            run_chunk(lambda b: b)
             elapsed = time.perf_counter() - started
         finally:
             for client in clients.values():
                 client.close()
-        total_rows = len(names) * args.requests * args.rows
-        print()
-        print(f"rows served         {total_rows} in {elapsed:.3f}s "
-              f"({total_rows / elapsed:,.0f} rows/s, over TCP)")
-        print(f"request failures    shed={errors['shed']} "
-              f"deadline={errors['deadline']} "
-              f"crash={errors['crash']} other={errors['other']}")
+        _print_traffic(
+            len(names) * args.requests * args.rows, elapsed, "over TCP",
+            errors,
+        )
         print()
         print(probe.report())
     return 0
@@ -807,18 +636,11 @@ def _cluster_connect_bench(args) -> int:
 
 def _cluster_serve_bench(args) -> int:
     """Run the horizontal serving cluster end-to-end and report it."""
-    import contextlib
-    import tempfile
-
     import numpy as np
 
-    from repro.cluster import ClusterClient, ClusterListener, ClusterService
-    from repro.serving import ModelRegistry
+    from repro.cluster import ClusterClient, ClusterListener
 
     rng = np.random.default_rng(args.seed)
-    lna, models = _fit_demo_fleet(args)
-
-    names = [f"lna{i}" for i in range(args.shards)]
     plan = None
     if args.fault_plan:
         from repro.faults import FaultPlan
@@ -826,84 +648,63 @@ def _cluster_serve_bench(args) -> int:
         plan = FaultPlan.parse(args.fault_plan, seed=args.seed)
         print(f"fault injection active: {args.fault_plan!r}")
 
-    def run(registry):
-        for name in names:
-            registry.push(name, models)  # v1
-            registry.push(name, models)  # v2 (canary target)
-        keys = [f"{name}@v1" for name in names]
-        with ClusterService(
-            registry, keys, config=_cluster_config(args)
-        ) as cluster:
-            if args.canary:
-                stable, canary, weight = _parse_canary(args.canary)
-                cluster.load(stable)
-                cluster.set_canary(
-                    stable.split("@", 1)[0], canary, weight
-                )
-                print(f"canary: {stable} -> {canary} at {weight:.0%}")
+    with _demo_cluster(args) as (cluster, names, n_variables):
+        if args.canary:
+            stable, canary, weight = _parse_canary(args.canary)
+            cluster.load(stable)
+            cluster.set_canary(stable.split("@", 1)[0], canary, weight)
+            print(f"canary: {stable} -> {canary} at {weight:.0%}")
 
-            listener = None
-            clients = {}
-            if args.listen is not None:
-                listener = ClusterListener(cluster, args.listen).start()
-                print(f"listener: {listener.address} (driving over "
-                      "the network)")
-                clients = {
-                    name: ClusterClient(listener.address)
-                    for name in names
-                }
-                predict = lambda name, x, states: (  # noqa: E731
-                    clients[name].predict_many(name, x, states)
-                )
-            else:
-                predict = cluster.predict_many
-
-            batches = {
-                name: [
-                    (
-                        rng.standard_normal((args.rows, lna.n_variables)),
-                        rng.integers(0, args.states, args.rows),
-                    )
-                    for _ in range(args.requests)
-                ]
-                for name in names
+        listener = None
+        clients = {}
+        if args.listen is not None:
+            listener = ClusterListener(cluster, args.listen).start()
+            print(f"listener: {listener.address} (driving over "
+                  "the network)")
+            clients = {
+                name: ClusterClient(listener.address) for name in names
             }
-            errors, run_chunk = _drive_cluster_traffic(
-                names, batches, predict, max_workers=args.shards
+            predict = lambda name, x, states: (  # noqa: E731
+                clients[name].predict_many(name, x, states)
             )
-            half = args.requests // 2
-            try:
-                started = time.perf_counter()
-                run_chunk(lambda b: b[:half])
-                if plan is not None:
-                    applied = cluster.inject_faults(plan)
-                    print(f"injected mid-run: {applied}")
-                run_chunk(lambda b: b[half:])
-                elapsed = time.perf_counter() - started
-            finally:
-                for client in clients.values():
-                    client.close()
-                if listener is not None:
-                    with contextlib.suppress(Exception):
-                        listener.stop()
+        else:
+            predict = cluster.predict_many
 
-            total_rows = args.shards * args.requests * args.rows
-            print()
-            print(f"rows served         {total_rows} in {elapsed:.3f}s "
-                  f"({total_rows / elapsed:,.0f} rows/s, "
-                  f"{args.shards} shards)")
-            print(f"request failures    shed={errors['shed']} "
-                  f"deadline={errors['deadline']} "
-                  f"crash={errors['crash']} other={errors['other']}")
-            print(f"failovers           {cluster.metrics.total_failovers}")
-            print()
-            print(cluster.report())
-        return 0
+        batches = request_batches(
+            rng,
+            {name: (n_variables, args.states) for name in names},
+            args.requests,
+            args.rows,
+        )
+        half = args.requests // 2
+        try:
+            started = time.perf_counter()
+            errors = drive_requests(
+                predict, {n: b[:half] for n, b in batches.items()}
+            )
+            if plan is not None:
+                applied = cluster.inject_faults(plan)
+                print(f"injected mid-run: {applied}")
+            later = drive_requests(
+                predict, {n: b[half:] for n, b in batches.items()}
+            )
+            elapsed = time.perf_counter() - started
+        finally:
+            for client in clients.values():
+                client.close()
+            if listener is not None:
+                with contextlib.suppress(Exception):
+                    listener.stop()
 
-    if args.registry:
-        return run(ModelRegistry(args.registry))
-    with tempfile.TemporaryDirectory() as tmp:
-        return run(ModelRegistry(tmp))
+        _print_traffic(
+            args.shards * args.requests * args.rows, elapsed,
+            f"{args.shards} shards",
+            {kind: errors[kind] + later[kind] for kind in errors},
+        )
+        print(f"failovers           {cluster.metrics.total_failovers}")
+        print()
+        print(cluster.report())
+    return 0
 
 
 def _cmd_registry(args) -> int:
@@ -1001,25 +802,6 @@ def build_parser() -> argparse.ArgumentParser:
     common(p)
 
     p = sub.add_parser(
-        "serve-bench",
-        help="fit -> registry push -> serve: one-row vs bulk benchmark",
-    )
-    p.add_argument("--requests", type=int, default=10_000,
-                   help="how many mixed-state requests to serve")
-    p.add_argument("--pool", type=int, default=2_000,
-                   help="unique sample points the requests draw from")
-    p.add_argument("--states", type=int, default=4)
-    p.add_argument("--train", type=int, default=12,
-                   help="training samples per state")
-    p.add_argument("--method", default="cbmf",
-                   help="estimator to fit (default: cbmf)")
-    p.add_argument("--registry", default=None,
-                   help="persist the registry here (default: temp dir)")
-    p.add_argument("--trials", type=int, default=3,
-                   help="timing trials per path (best-of-N)")
-    p.add_argument("--seed", type=int, default=2016)
-
-    p = sub.add_parser(
         "sweep-fit",
         help="simulate a frequency sweep, fit on the Kronecker path, "
              "verify the registry round-trip",
@@ -1062,8 +844,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--max-rows", type=int, default=12,
                    help="worst states shown in the table (default: 12)")
     p.add_argument("--seed", type=int, default=2016)
-
-    from repro.bench import add_bench_parser
 
     add_bench_parser(sub)
 
@@ -1177,7 +957,9 @@ def build_parser() -> argparse.ArgumentParser:
                           help="request batches per model name")
     p_cbench.add_argument("--rows", type=int, default=32,
                           help="rows per request batch")
-    p_cbench.add_argument("--states", type=int, default=4)
+    p_cbench.add_argument("--states", type=int, default=4,
+                          help="knob states of the demo fleet "
+                               "(--connect reads the served fleet's)")
     p_cbench.add_argument("--train", type=int, default=12,
                           help="training samples per state")
     p_cbench.add_argument("--method", default="somp",
@@ -1265,8 +1047,6 @@ def main(argv: Optional[List[str]] = None) -> int:
     if args.command == "info":
         _cmd_info(args)
         return 0
-    if args.command == "serve-bench":
-        return _cmd_serve_bench(args)
     if args.command == "sweep-fit":
         return _cmd_sweep_fit(args)
     if args.command == "yield-report":

@@ -24,13 +24,12 @@ model memory footprint::
   the text report.
 - :mod:`repro.cluster.net` — the TCP / Unix-domain
   :class:`ClusterListener` in front of the gateway, plus the blocking
-  :class:`ClusterClient` and :class:`AsyncClusterClient` libraries.
+  :class:`ClusterClient` library.
 """
 
 from repro.cluster.gateway import ClusterConfig, ClusterService
 from repro.cluster.metrics import ClusterMetrics, format_cluster_report
 from repro.cluster.net import (
-    AsyncClusterClient,
     ClusterClient,
     ClusterListener,
     parse_address,
@@ -44,7 +43,6 @@ from repro.cluster.store import (
 )
 
 __all__ = [
-    "AsyncClusterClient",
     "ClusterClient",
     "ClusterConfig",
     "ClusterListener",

@@ -20,11 +20,12 @@ model *names* to registry version keys. Callers use plain synchronous
    :class:`~repro.errors.DeadlineError` and is counted per shard and
    per version.
 
-Requests are validated (finite rows of the served key's width) before
-they are queued, so one caller's bad rows can never fail the
-neighbours coalesced into its frame. Replies stay as the shard sent
-them — ``(header, columns)`` — until :meth:`ClusterService.predict_many`
-turns them into rows; the TCP listener forwards them unchanged.
+Requests are validated (finite rows of the served key's width, states
+in the served key's range) before they are queued, so one caller's bad
+request can never fail the neighbours coalesced into its frame. Replies
+stay as the shard sent them — ``(header, columns)`` — until
+:meth:`ClusterService.predict_many` turns them into rows; the TCP
+listener forwards them unchanged.
 
 A shard that dies (crash, ``shard:kill`` chaos fault, OOM-kill…) is
 detected by its connection closing: every in-flight request on it fails
@@ -180,8 +181,9 @@ def _parse_specs(specs: Sequence) -> List[Dict]:
 def _validate_predict(x, states) -> Tuple[np.ndarray, np.ndarray]:
     """Coerce and shape-check one predict batch (gateway and listener).
 
-    The key-dependent checks (finite rows of the served width) run in
-    :meth:`ClusterService._predict_async`, once the version is routed.
+    The key-dependent checks (finite rows of the served width, states
+    in range) run in :meth:`ClusterService._predict_async`, once the
+    version is routed.
     """
     x = np.ascontiguousarray(np.asarray(x, dtype=float))
     states = np.ascontiguousarray(np.asarray(states, dtype=np.int64))
@@ -487,8 +489,9 @@ class ClusterService:
 
         ``shard`` is the stable version's primary; ``replicas`` its
         full owner list (primary first). ``n_variables`` — when the
-        registry manifest records it — lets remote clients size request
-        vectors without a local model copy.
+        registry manifest records it — and ``n_states`` let remote
+        clients size request vectors and draw valid states without a
+        local model copy.
         """
         digest = {}
         for name, route in sorted(self._routes.items()):
@@ -501,6 +504,7 @@ class ClusterService:
                     self._key_replicas.get(route.stable, ())
                 ),
                 "n_variables": self._key_width.get(route.stable),
+                "n_states": self._key_states.get(route.stable),
             }
         return digest
 
@@ -560,7 +564,10 @@ class ClusterService:
     ) -> Tuple[Dict, List[np.ndarray]]:
         """Loop-side predict: route, validate, submit with failover.
 
-        Returns the shard's ``"result"`` frame as ``(header, columns)``.
+        Rows and states are checked against the routed version before
+        anything is queued, so a bad request fails alone instead of
+        failing every request coalesced into its shard frame. Returns
+        the shard's ``"result"`` frame as ``(header, columns)``.
         """
         key = self._choose_version(name)
         width = self._key_width.get(key)
@@ -571,6 +578,7 @@ class ClusterService:
             )
         if not np.all(np.isfinite(x)):
             raise ValueError("x contains non-finite values")
+        self._check_states(key, states)
         started = time.perf_counter()
         reply, served_by = await self._submit(
             key,
@@ -642,13 +650,7 @@ class ClusterService:
         key = self._choose_version(name)
         if states is not None:
             index = [int(s) for s in states]
-            n_states = self._key_states[key]
-            bad = [k for k in index if not 0 <= k < n_states]
-            if bad:
-                raise ValueError(
-                    f"state {bad[0]} out of range 0..{n_states - 1} "
-                    f"for {key}"
-                )
+            self._check_states(key, index)
         reply, _ = await self._submit(
             key,
             time.monotonic() + deadline_s,
@@ -673,6 +675,16 @@ class ClusterService:
                 report[field_name] = [report[field_name][k] for k in index]
             report["states"] = index
         return reply
+
+    def _check_states(self, key: str, states) -> None:
+        """Refuse states outside ``key``'s range before anything queues."""
+        n_states = self._key_states[key]
+        states = np.asarray(states, dtype=np.int64)
+        bad = states[(states < 0) | (states >= n_states)]
+        if bad.size:
+            raise ValueError(
+                f"state {bad[0]} out of range 0..{n_states - 1} for {key}"
+            )
 
     # -- observability --------------------------------------------------
     def shard_engine_snapshots(self) -> List[Dict]:

@@ -25,12 +25,12 @@ frame protocol the gateway already speaks to its shards
     closes the connection unanswered, ``net:slow@i:secs`` delays the
     answer.
 
-:class:`ClusterClient` / :class:`AsyncClusterClient`
-    Blocking (thread-safe, one request in flight per connection) and
-    asyncio clients exposing the familiar surface: ``predict``,
+:class:`ClusterClient`
+    Blocking client (thread-safe, one request in flight per
+    connection) exposing the familiar surface: ``predict``,
     ``predict_many``, ``yield_report``, ``load``, ``set_canary``,
     ``promote``, ``clear_canary``, ``describe_routes``, ``report``,
-    ``ping``.
+    ``ping``. Open one client per thread for parallelism.
 
 Deadlines on the wire are **relative**: a client ships ``deadline_s``
 (seconds of budget), the gateway anchors it on its own
@@ -69,7 +69,6 @@ from repro.faults import FaultPlan
 from repro.serving.requests import PredictionResult
 
 __all__ = [
-    "AsyncClusterClient",
     "ClusterClient",
     "ClusterListener",
     "parse_address",
@@ -140,8 +139,7 @@ def _error_from_frame(header: Dict) -> Exception:
 
 
 # ----------------------------------------------------------------------
-# Request codec shared by both clients (replies decode with
-# protocol.decode_results).
+# Request codec (replies decode with protocol.decode_results).
 # ----------------------------------------------------------------------
 def _encode_predict(
     name: str,
@@ -410,39 +408,9 @@ class ClusterListener:
 
 
 # ----------------------------------------------------------------------
-# Clients.
+# Client.
 # ----------------------------------------------------------------------
-class _ClientCore:
-    """Header builders shared by the blocking and asyncio clients."""
-
-    @staticmethod
-    def _yield_header(
-        name: str,
-        specs: Sequence,
-        n_samples: int,
-        seed: int,
-        confidence: float,
-        states: Optional[Sequence[int]],
-        deadline_s: Optional[float],
-    ) -> Dict:
-        from repro.cluster.gateway import _parse_specs
-
-        header: Dict = {
-            "kind": "yield",
-            "name": str(name),
-            "specs": _parse_specs(specs),
-            "n_samples": int(n_samples),
-            "seed": int(seed),
-            "confidence": float(confidence),
-        }
-        if states is not None:
-            header["states"] = [int(s) for s in states]
-        if deadline_s is not None:
-            header["deadline_s"] = float(deadline_s)
-        return header
-
-
-class ClusterClient(_ClientCore):
+class ClusterClient:
     """Blocking client for a :class:`ClusterListener` endpoint.
 
     Thread-safe: a lock serializes the one-request-per-connection wire
@@ -528,12 +496,21 @@ class ClusterClient(_ClientCore):
         deadline_s: Optional[float] = None,
     ) -> Dict:
         """Fleet yield/moment report; mirrors the service method."""
-        reply, _ = self._roundtrip(
-            self._yield_header(
-                name, specs, n_samples, seed, confidence, states,
-                deadline_s,
-            )
-        )
+        from repro.cluster.gateway import _parse_specs
+
+        header: Dict = {
+            "kind": "yield",
+            "name": str(name),
+            "specs": _parse_specs(specs),
+            "n_samples": int(n_samples),
+            "seed": int(seed),
+            "confidence": float(confidence),
+        }
+        if states is not None:
+            header["states"] = [int(s) for s in states]
+        if deadline_s is not None:
+            header["deadline_s"] = float(deadline_s)
+        reply, _ = self._roundtrip(header)
         return reply
 
     # -- control plane --------------------------------------------------
@@ -589,153 +566,3 @@ class ClusterClient(_ClientCore):
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return f"ClusterClient({self.address!r})"
-
-
-class AsyncClusterClient(_ClientCore):
-    """Asyncio client for a :class:`ClusterListener` endpoint.
-
-    Build with :meth:`connect`; one request is in flight per client at
-    a time (an ``asyncio.Lock`` serializes the exchange) — open several
-    clients to overlap requests from one loop.
-    """
-
-    def __init__(
-        self,
-        reader: asyncio.StreamReader,
-        writer: asyncio.StreamWriter,
-        address: str,
-    ) -> None:
-        self._reader = reader
-        self._writer = writer
-        self._lock = asyncio.Lock()
-        self._ids = itertools.count(1)
-        self.address = address
-
-    @classmethod
-    async def connect(cls, address: str) -> "AsyncClusterClient":
-        """Open a connection to ``address`` and wrap it."""
-        scheme, target = parse_address(address)
-        if scheme == "tcp":
-            host, port = target
-            reader, writer = await asyncio.open_connection(host, port)
-            sock = writer.get_extra_info("socket")
-            if sock is not None:
-                sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
-        else:
-            reader, writer = await asyncio.open_unix_connection(target)
-        return cls(reader, writer, address)
-
-    async def _roundtrip(
-        self, header: Dict, arrays: Sequence[np.ndarray] = ()
-    ) -> Tuple[Dict, List[np.ndarray]]:
-        request = dict(header, id=next(self._ids))
-        async with self._lock:
-            await write_frame_async(self._writer, request, arrays)
-            reply, reply_arrays = await read_frame_async(self._reader)
-        if reply.get("kind") == "error":
-            raise _error_from_frame(reply)
-        return reply, reply_arrays
-
-    async def predict_many(
-        self,
-        name: str,
-        x,
-        states,
-        deadline_s: Optional[float] = None,
-    ) -> List[PredictionResult]:
-        """Predict a batch; mirrors ``ClusterService.predict_many``."""
-        reply, arrays = await self._roundtrip(
-            *_encode_predict(name, x, states, deadline_s)
-        )
-        return decode_results(reply, arrays)
-
-    async def predict(
-        self,
-        name: str,
-        x,
-        state: int,
-        deadline_s: Optional[float] = None,
-    ) -> PredictionResult:
-        """Predict one design point."""
-        results = await self.predict_many(
-            name, np.asarray(x, dtype=float)[None, :], [state],
-            deadline_s=deadline_s,
-        )
-        return results[0]
-
-    async def yield_report(
-        self,
-        name: str,
-        specs: Sequence,
-        n_samples: int = 400,
-        seed: int = 0,
-        confidence: float = 0.95,
-        states: Optional[Sequence[int]] = None,
-        deadline_s: Optional[float] = None,
-    ) -> Dict:
-        """Fleet yield/moment report; mirrors the service method."""
-        reply, _ = await self._roundtrip(
-            self._yield_header(
-                name, specs, n_samples, seed, confidence, states,
-                deadline_s,
-            )
-        )
-        return reply
-
-    async def load(self, key: str) -> str:
-        """Export + load ``key`` server-side; returns the resolved key."""
-        reply, _ = await self._roundtrip({"kind": "load", "key": str(key)})
-        return reply["key"]
-
-    async def set_canary(
-        self, name: str, canary_key: str, weight: float
-    ) -> str:
-        """Start a weighted canary split server-side."""
-        reply, _ = await self._roundtrip({
-            "kind": "set-canary",
-            "name": str(name),
-            "canary": str(canary_key),
-            "weight": float(weight),
-        })
-        return reply["key"]
-
-    async def promote(self, name: str) -> str:
-        """Promote the canary to stable."""
-        reply, _ = await self._roundtrip(
-            {"kind": "promote", "name": str(name)}
-        )
-        return reply["key"]
-
-    async def clear_canary(self, name: str) -> None:
-        """Drop the canary split."""
-        await self._roundtrip({"kind": "clear-canary", "name": str(name)})
-
-    async def describe_routes(self) -> Dict[str, Dict]:
-        """The server's routing-table digest."""
-        reply, _ = await self._roundtrip({"kind": "routes"})
-        return reply["routes"]
-
-    async def report(self) -> str:
-        """The server's full text report."""
-        reply, _ = await self._roundtrip({"kind": "report"})
-        return reply["text"]
-
-    async def ping(self) -> bool:
-        """Round-trip liveness probe."""
-        reply, _ = await self._roundtrip({"kind": "ping"})
-        return reply.get("kind") == "pong"
-
-    async def close(self) -> None:
-        """Close the connection (idempotent)."""
-        with contextlib.suppress(OSError, RuntimeError):
-            self._writer.close()
-            await self._writer.wait_closed()
-
-    async def __aenter__(self) -> "AsyncClusterClient":
-        return self
-
-    async def __aexit__(self, *exc_info) -> None:
-        await self.close()
-
-    def __repr__(self) -> str:  # pragma: no cover - cosmetic
-        return f"AsyncClusterClient({self.address!r})"

@@ -156,39 +156,6 @@ class Dataset:
         )
         return train, test
 
-    @staticmethod
-    def concat(first: "Dataset", second: "Dataset") -> "Dataset":
-        """Concatenate two datasets state-wise (same circuit/metrics).
-
-        Appends ``second``'s samples after ``first``'s in every state —
-        how an adaptive-sampling loop grows its training set.
-        """
-        if first.circuit_name != second.circuit_name:
-            raise ValueError(
-                f"circuit mismatch: {first.circuit_name!r} vs "
-                f"{second.circuit_name!r}"
-            )
-        if first.metric_names != second.metric_names:
-            raise ValueError("datasets disagree on metrics")
-        if first.n_states != second.n_states:
-            raise ValueError(
-                f"state-count mismatch: {first.n_states} vs {second.n_states}"
-            )
-        states = []
-        for state_a, state_b in zip(first.states, second.states):
-            states.append(
-                StateData(
-                    x=np.vstack([state_a.x, state_b.x]),
-                    y={
-                        metric: np.concatenate(
-                            [state_a.y[metric], state_b.y[metric]]
-                        )
-                        for metric in first.metric_names
-                    },
-                )
-            )
-        return Dataset(first.circuit_name, states, first.metric_names)
-
     # ------------------------------------------------------------------
     def save(self, path) -> None:
         """Serialize to a compressed ``.npz`` file (atomically).

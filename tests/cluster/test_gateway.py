@@ -272,20 +272,25 @@ class TestValidation:
                 "alpha", design, [0] * len(design), deadline_s=0.0
             )
 
-    @pytest.mark.parametrize("defect", ["nan", "too-wide"])
+    @pytest.mark.parametrize("defect", ["nan", "too-wide", "bad-state"])
     def test_bad_request_fails_alone_when_coalesced(
         self, cluster_registry, cluster_modelset, design, defect
     ):
         """Regression: two same-key requests coalesced into one shard
-        frame. A NaN row failed both with ``ServingError``; a row one
-        column too wide killed the shard's sender, so both and every
-        later request expired on their deadlines."""
+        frame. A NaN row or an out-of-range state failed both with
+        ``ServingError``; a row one column too wide killed the shard's
+        sender, so both and every later request expired on their
+        deadlines."""
+        states = np.zeros(len(design), dtype=np.int64)
+        bad, bad_states = design, states
         if defect == "nan":
             bad = design.copy()
             bad[2, 1] = np.nan
-        else:
+        elif defect == "too-wide":
             bad = np.hstack([design, design[:, :1]])
-        states = np.zeros(len(design), dtype=np.int64)
+        else:
+            bad_states = states.copy()
+            bad_states[2] = cluster_modelset.n_states
         service = ClusterService(
             cluster_registry,
             keys=["alpha@v1"],
@@ -297,7 +302,7 @@ class TestValidation:
                 # sender sees both in its queue and joins them.
                 return await asyncio.gather(
                     service._predict_async("alpha", design, states, 5.0),
-                    service._predict_async("alpha", bad, states, 5.0),
+                    service._predict_async("alpha", bad, bad_states, 5.0),
                     return_exceptions=True,
                 )
 

@@ -11,7 +11,6 @@ control plane (load / canary / routes / report) works remotely.
 
 from __future__ import annotations
 
-import asyncio
 import socket
 import struct
 import threading
@@ -20,7 +19,6 @@ import numpy as np
 import pytest
 
 from repro.cluster import (
-    AsyncClusterClient,
     ClusterClient,
     ClusterConfig,
     ClusterListener,
@@ -181,24 +179,6 @@ class TestPredictOverTcp:
         assert client.ping() is True
 
 
-class TestAsyncClient:
-    def test_round_trip(self, listener, cluster_modelset, design):
-        async def run():
-            async with await AsyncClusterClient.connect(
-                listener.address
-            ) as c:
-                assert await c.ping() is True
-                return await c.predict_many(
-                    "lna", design, [1] * len(design)
-                )
-
-        results = asyncio.run(run())
-        direct = cluster_modelset.predict(design, 1)
-        for row, result in enumerate(results):
-            for metric, value in result.values.items():
-                assert abs(value - float(direct[metric][row])) <= 1e-15
-
-
 class TestUnixSocket:
     def test_round_trip(self, net_cluster, tmp_path, design):
         path = tmp_path / "cluster.sock"
@@ -242,6 +222,36 @@ class TestErrorTaxonomy:
         with pytest.raises(ProtocolError, match="unknown frame kind"):
             client._roundtrip({"kind": "frobnicate"})
         assert client.ping() is True  # connection survived
+
+
+class TestStateRange:
+    def test_out_of_range_state_is_value_error(
+        self, net_cluster, client, cluster_modelset, design
+    ):
+        """Regression: an out-of-range state reached the shard and came
+        back as ``ServingError``, failing its coalesced neighbours too."""
+        k = cluster_modelset.n_states
+        for bad in (-1, k):
+            states = [0] * (len(design) - 1) + [bad]
+            for caller in (net_cluster, client):
+                with pytest.raises(
+                    ValueError,
+                    match=f"state {bad} out of range 0..{k - 1} for lna@v1",
+                ):
+                    caller.predict_many("lna", design, states)
+
+    def test_connect_bench_draws_states_from_the_routes(
+        self, listener, capsys
+    ):
+        """Regression: ``--connect`` drew states from ``--states``, so a
+        fleet with fewer states failed requests with ``ServingError``."""
+        from repro.cli import main
+
+        assert main([
+            "cluster", "serve-bench", "--connect", listener.address,
+            "--requests", "3", "--rows", "8", "--states", "9",
+        ]) == 0
+        assert "shed=0 deadline=0 crash=0 other=0" in capsys.readouterr().out
 
 
 class TestMalformedPeers:
@@ -297,10 +307,14 @@ class TestMalformedPeers:
 
 
 class TestControlPlane:
-    def test_routes(self, client):
+    def test_routes(self, client, cluster_modelset):
         routes = client.describe_routes()
         assert routes["lna"]["stable"] == "lna@v1"
         assert isinstance(routes["lna"]["replicas"], list)
+        assert routes["lna"]["n_variables"] == (
+            cluster_modelset.basis.n_variables
+        )
+        assert routes["lna"]["n_states"] == cluster_modelset.n_states
 
     def test_report(self, client):
         text = client.report()

@@ -1,22 +1,28 @@
 """Tests for the benchmark regression harness (logic only — no timing)."""
 
 import argparse
+import copy
 import json
-from pathlib import Path
 
+import numpy as np
 import pytest
 
+from repro import bench
 from repro.bench import (
+    BASELINE_DIR,
     DEFAULT_THRESHOLD,
-    KRON_MIN_SPEEDUP,
-    KRON_PARITY_RTOL,
     SUITES,
     add_bench_parser,
-    YIELD_PEAK_FRACTION,
-    check_kron_gates,
+    check_gates,
     check_regression,
-    check_yield_gates,
+    main_bench,
 )
+
+#: The committed baselines, whose ``gates`` lists ``--check`` enforces.
+BASELINES = {
+    suite: json.loads((BASELINE_DIR / f"BENCH_{suite}.json").read_text())
+    for suite in SUITES
+}
 
 
 def report(cbmf_fit=1.0, em=0.5, scale="small", kind="fit"):
@@ -112,44 +118,40 @@ def kron_report(
     }
 
 
+def kron_gates(report):
+    return check_gates(report, BASELINES["kron"]["gates"])
+
+
 class TestCheckKronGates:
-    """Absolute gates — enforced with or without a committed baseline."""
+    """The kron suite's absolute gates, as committed in its baseline."""
 
     def test_healthy_report_passes(self):
-        assert check_kron_gates(kron_report()) == []
+        assert kron_gates(kron_report()) == []
 
     def test_speedup_below_gate_fails(self):
-        problems = check_kron_gates(
-            kron_report(speedup=KRON_MIN_SPEEDUP - 0.1)
-        )
+        problems = kron_gates(kron_report(speedup=4.9))
         assert problems and "speedup" in problems[0]
 
     def test_each_parity_gate_enforced(self):
         for key in ("coef_parity", "kron_dense", "dual_dense"):
-            problems = check_kron_gates(
-                kron_report(**{key: 10 * KRON_PARITY_RTOL})
-            )
+            problems = kron_gates(kron_report(**{key: 10 * 1e-8}))
             assert problems, f"{key} beyond rtol must fail the gate"
 
     def test_missing_parity_fails_loudly(self):
         broken = kron_report()
         broken["details"]["coef_parity_vs_dual"] = None
-        assert check_kron_gates(broken)
+        assert kron_gates(broken)
 
     def test_wrong_solver_fails(self):
-        problems = check_kron_gates(kron_report(solver="dual"))
+        problems = kron_gates(kron_report(solver="dual"))
         assert problems and "solver" in problems[0]
 
     def test_committed_baseline_satisfies_its_own_gates(self):
-        """The repo's committed BENCH_kron.json must pass the absolute
-        gates — otherwise CI's perf-smoke would be red from the start."""
-        path = (
-            Path(__file__).resolve().parents[2]
-            / "benchmarks" / "baselines" / "BENCH_kron.json"
-        )
-        baseline = json.loads(path.read_text())
+        """The repo's committed BENCH_kron.json must pass its gates —
+        otherwise CI's perf-smoke would be red from the start."""
+        baseline = BASELINES["kron"]
         assert baseline["kind"] == "kron"
-        assert check_kron_gates(baseline) == []
+        assert kron_gates(baseline) == []
         curve = baseline["details"]["k_scaling"]
         assert [point["k"] for point in curve] == [32, 64, 128, 201]
 
@@ -177,6 +179,13 @@ class TestBenchParser:
         args = self.parse(["bench", "--quick", "--check"])
         assert args.quick and args.check
 
+    @pytest.mark.parametrize("scale", ["paper", "meduim"])
+    def test_scale_limited_to_what_every_suite_runs(self, scale):
+        """Regression: ``paper`` ran two suites, then died with a
+        ``KeyError`` in the cluster suite; a typo died in the fit suite."""
+        with pytest.raises(SystemExit):
+            self.parse(["bench", "--scale", scale])
+
     def test_cli_exposes_bench(self):
         from repro.cli import build_parser
 
@@ -192,6 +201,7 @@ def yield_report(
     peak_bytes=2_000_000,
     dense_bytes=18_000_000_000,
 ):
+    """A yield report whose derived fields follow ``bench_yield``."""
     return {
         "kind": "yield",
         "config": {"circuit": "lna_sweep", "n_points": 201},
@@ -199,65 +209,188 @@ def yield_report(
         "details": {
             "rmse_independent": rmse_independent,
             "rmse_shrunk": rmse_shrunk,
+            "rmse_improvement": rmse_independent / rmse_shrunk,
             "correlation_shared": correlation_shared,
             "cluster_peak_bytes": peak_bytes,
             "dense_cov_bytes": dense_bytes,
+            "peak_fraction_of_dense": peak_bytes / dense_bytes,
         },
     }
 
 
+def yield_gates(report):
+    return check_gates(report, BASELINES["yield"]["gates"])
+
+
 class TestCheckYieldGates:
-    """Absolute gates of the yield suite — baseline-free acceptance."""
+    """The yield suite's absolute gates, as committed in its baseline."""
 
     def test_healthy_report_passes(self):
-        assert check_yield_gates(yield_report()) == []
+        assert yield_gates(yield_report()) == []
 
     def test_shrunk_must_beat_independent(self):
-        problems = check_yield_gates(yield_report(rmse_shrunk=0.013))
-        assert problems and "does not beat" in problems[0]
+        problems = yield_gates(yield_report(rmse_shrunk=0.013))
+        assert problems and "rmse_improvement" in problems[0]
         # A tie is not a win either.
-        assert check_yield_gates(
+        assert yield_gates(
             yield_report(rmse_shrunk=0.012, rmse_independent=0.012)
         )
 
     def test_missing_rmse_fails_loudly(self):
         broken = yield_report()
-        del broken["details"]["rmse_shrunk"]
-        assert check_yield_gates(broken)
+        del broken["details"]["rmse_improvement"]
+        assert yield_gates(broken)
 
     def test_independent_fallback_fails(self):
-        problems = check_yield_gates(
-            yield_report(correlation_shared=False)
-        )
+        problems = yield_gates(yield_report(correlation_shared=False))
         assert problems and "correlation_shared" in problems[0]
 
     def test_densified_covariance_fails(self):
-        problems = check_yield_gates(
-            yield_report(peak_bytes=18_000_000_000)
-        )
+        problems = yield_gates(yield_report(peak_bytes=18_000_000_000))
         assert problems and "dense" in problems[0]
 
     def test_peak_gate_is_a_strict_fraction(self):
         dense = 1_000_000_000
-        at_gate = int(dense * YIELD_PEAK_FRACTION)
-        assert check_yield_gates(
+        at_gate = int(dense * 0.01)
+        assert yield_gates(
             yield_report(peak_bytes=at_gate, dense_bytes=dense)
         )
-        assert check_yield_gates(
+        assert yield_gates(
             yield_report(peak_bytes=at_gate - 1, dense_bytes=dense)
         ) == []
 
     def test_committed_baseline_satisfies_its_own_gates(self):
-        """The repo's committed BENCH_yield.json must pass the absolute
-        gates — otherwise CI's yield-smoke would be red from the start."""
-        path = (
-            Path(__file__).resolve().parents[2]
-            / "benchmarks" / "baselines" / "BENCH_yield.json"
-        )
-        baseline = json.loads(path.read_text())
+        """The repo's committed BENCH_yield.json must pass its gates —
+        otherwise CI's yield-smoke would be red from the start."""
+        baseline = BASELINES["yield"]
         assert baseline["kind"] == "yield"
-        assert check_yield_gates(baseline) == []
+        assert yield_gates(baseline) == []
         assert baseline["config"]["mc_samples"] >= 100_000
 
     def test_yield_is_a_selectable_suite(self):
         assert "yield" in SUITES
+
+
+def past_boundary(op, bound):
+    """The nearest value that fails ``op`` against ``bound``."""
+    if op == "min":
+        return float(np.nextafter(bound, -np.inf))
+    if op == "max":
+        return float(np.nextafter(bound, np.inf))
+    if op in ("above", "below"):
+        return bound
+    if isinstance(bound, bool):
+        return not bound
+    return bound + ("?" if isinstance(bound, str) else 1)
+
+
+def with_value(report, path, value):
+    """A copy of ``report`` with ``path`` set to ``value`` (or removed
+    when ``value`` is the ``KeyError`` class)."""
+    report = copy.deepcopy(report)
+    *parents, leaf = path.split(".")
+    node = report
+    for part in parents:
+        node = node[part]
+    if value is KeyError:
+        del node[leaf]
+    else:
+        node[leaf] = value
+    return report
+
+
+GATES = [
+    pytest.param(suite, gate, id=f"{suite}:{gate['path']}")
+    for suite, baseline in BASELINES.items()
+    for gate in baseline["gates"]
+]
+
+
+class TestCommittedGates:
+    """Every committed baseline carries a ``gates`` list that its own
+    numbers pass, and every gate fails, by name, on a value just past
+    its boundary, on ``None`` and on a missing key."""
+
+    @pytest.mark.parametrize("suite", list(SUITES))
+    def test_baseline_passes_its_own_gates(self, suite):
+        baseline = BASELINES[suite]
+        assert isinstance(baseline["gates"], list)
+        assert check_gates(baseline, baseline["gates"]) == []
+
+    @pytest.mark.parametrize("suite, gate", GATES)
+    @pytest.mark.parametrize("breakage", ["past-boundary", "none", "missing"])
+    def test_each_gate_fails_by_name(self, suite, gate, breakage):
+        baseline = BASELINES[suite]
+        op = next(key for key in gate if key != "path")
+        value = {
+            "past-boundary": past_boundary(op, gate[op]),
+            "none": None,
+            "missing": KeyError,
+        }[breakage]
+        problems = check_gates(
+            with_value(baseline, gate["path"], value), baseline["gates"]
+        )
+        assert len(problems) == 1
+        assert gate["path"] in problems[0]
+
+    @pytest.mark.parametrize(
+        "gate",
+        [{"path": "details.x"}, {"path": "details.x", "atleast": 1},
+         {"path": "details.x", "min": 1, "max": 2}, {"min": 1}],
+    )
+    def test_malformed_gate_rejected(self, gate):
+        with pytest.raises(ValueError, match="malformed gate"):
+            check_gates({"details": {"x": 1}}, [gate])
+
+
+class TestMainBench:
+    """``main_bench`` around a stubbed suite: baselines and gates."""
+
+    REPORT = {
+        "kind": "fit",
+        "config": {"scale": "small"},
+        "timings_seconds": {"cbmf_fit": 1.0},
+        "details": {"em_iterations": 60},
+    }
+
+    def run(self, monkeypatch, tmp_path, *flags):
+        monkeypatch.setitem(
+            bench.SUITES, "fit", lambda **_: copy.deepcopy(self.REPORT)
+        )
+        parser = argparse.ArgumentParser()
+        add_bench_parser(parser.add_subparsers(dest="command"))
+        args = parser.parse_args([
+            "bench", "--suite", "fit", "--quick",
+            "--output-dir", str(tmp_path / "out"),
+            "--baseline-dir", str(tmp_path / "baselines"), *flags,
+        ])
+        return main_bench(args)
+
+    def test_update_baseline_keeps_gates(self, monkeypatch, tmp_path):
+        gates = [{"path": "details.em_iterations", "equals": 60}]
+        path = tmp_path / "baselines" / "BENCH_fit.json"
+        path.parent.mkdir()
+        path.write_text(json.dumps(dict(
+            self.REPORT, timings_seconds={"cbmf_fit": 9.0}, gates=gates
+        )))
+        assert self.run(monkeypatch, tmp_path, "--update-baseline") == 0
+        updated = json.loads(path.read_text())
+        assert updated["timings_seconds"] == {"cbmf_fit": 1.0}
+        assert updated["gates"] == gates
+        assert self.run(monkeypatch, tmp_path, "--check") == 0
+
+    def test_check_without_baseline_fails(
+        self, monkeypatch, tmp_path, capsys
+    ):
+        assert self.run(monkeypatch, tmp_path, "--check") == 1
+        assert "no baseline" in capsys.readouterr().err
+
+    def test_check_fails_on_a_gate(self, monkeypatch, tmp_path, capsys):
+        path = tmp_path / "baselines" / "BENCH_fit.json"
+        path.parent.mkdir()
+        path.write_text(json.dumps(dict(
+            self.REPORT,
+            gates=[{"path": "details.em_iterations", "equals": 59}],
+        )))
+        assert self.run(monkeypatch, tmp_path, "--check") == 1
+        assert "details.em_iterations" in capsys.readouterr().err

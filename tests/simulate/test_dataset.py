@@ -107,30 +107,6 @@ class TestDataset:
         with pytest.raises(ValueError):
             make_dataset(n=10).split(0)
 
-    def test_concat(self):
-        a = make_dataset(n=4)
-        b = make_dataset(n=6)
-        merged = Dataset.concat(a, b)
-        assert merged.n_samples_per_state == (10, 10, 10)
-        assert np.allclose(merged.states[0].x[:4], a.states[0].x)
-        assert np.allclose(merged.states[0].x[4:], b.states[0].x)
-        assert np.allclose(
-            merged.states[1].y["a"],
-            np.concatenate([a.states[1].y["a"], b.states[1].y["a"]]),
-        )
-
-    def test_concat_rejects_circuit_mismatch(self):
-        a = make_dataset()
-        b = Dataset("other", [make_state(seed=k) for k in range(3)])
-        with pytest.raises(ValueError, match="circuit"):
-            Dataset.concat(a, b)
-
-    def test_concat_rejects_state_mismatch(self):
-        a = make_dataset(n_states=3)
-        b = make_dataset(n_states=2)
-        with pytest.raises(ValueError, match="state-count"):
-            Dataset.concat(a, b)
-
     def test_save_load_roundtrip(self, tmp_path):
         data = make_dataset()
         path = tmp_path / "data.npz"

@@ -42,12 +42,6 @@ class TestParser:
         assert args.metric == "i1db_dbm"
         assert args.seed == 7
 
-    def test_serve_bench_defaults(self):
-        args = build_parser().parse_args(["serve-bench"])
-        assert args.command == "serve-bench"
-        assert args.requests == 10_000
-        assert args.method == "cbmf"
-
     def test_sweep_fit_defaults(self):
         args = build_parser().parse_args(["sweep-fit"])
         assert args.command == "sweep-fit"
@@ -146,20 +140,6 @@ class TestTableCommand:
         monkeypatch.setattr(paper, "DEFAULT_CACHE_DIR", tmp_path)
         with pytest.raises(SystemExit, match="unknown metric"):
             main(["fig2", "--scale", "small", "--metric", "zzz"])
-
-
-class TestServeBench:
-    def test_small_run(self, capsys):
-        # Tiny but complete: fit -> push -> serve -> verify bit-identity.
-        assert main([
-            "serve-bench", "--requests", "400", "--pool", "80",
-            "--states", "3", "--train", "10", "--method", "somp",
-            "--trials", "1", "--seed", "5",
-        ]) == 0
-        out = capsys.readouterr().out
-        assert "pushed lna@v1" in out
-        assert "bit-identical       True" in out
-        assert "speedup" in out
 
 
 class TestSweepFit:
