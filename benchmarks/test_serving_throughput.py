@@ -1,8 +1,8 @@
 """Serving-path throughput: one-row calls vs one bulk call.
 
 The serving subsystem's claim is that sending requests together, so
-they share one ``basis.expand + coef`` matmul per state group, beats
-answering them one by one. This benchmark fits a small model set,
+they share one ``basis.expand`` and one gathered product per metric,
+beats answering them one by one. This benchmark fits a small model set,
 pushes it to a registry, then serves the same 10k mixed-state request
 stream through
 

@@ -40,8 +40,8 @@ def main() -> None:
             print(f"  {entry.key:10s} {entry.kind:9s} "
                   f"metrics={','.join(entry.metrics)}")
 
-        # 3. Serve: one bulk call; every row is computed, one matmul per
-        #    state group.
+        # 3. Serve: one bulk call; every row is computed, one expand and
+        #    one gathered product per metric.
         service = ModelService(registry)
         service.load("lna@v1")
 

@@ -349,8 +349,8 @@ def bench_serving(
         service.load("lna@latest")
         service.predict_many("lna", x, states)  # warm BLAS
         # The warm call is the service's first, so its batch counter
-        # holds the state groups one call computes.
-        state_groups = service.metrics.snapshot()["batches"]
+        # holds the kernel calls one call makes.
+        kernel_calls = service.metrics.snapshot()["batches"]
         batched_median = _median_seconds(
             lambda: service.predict_many("lna", x, states), repeats
         )
@@ -372,7 +372,7 @@ def bench_serving(
         },
         "details": {
             "requests_per_second": n_requests / batched_median,
-            "state_groups_per_call": state_groups,
+            "kernel_calls_per_call": kernel_calls,
         },
     }
 

@@ -847,6 +847,9 @@ class ClusterService:
         for handle in self._shards:
             for task in handle.tasks:
                 task.cancel()
+            # A cancelled respawn finishes starting its worker before
+            # the joins below look at handle.process.
+            await asyncio.gather(*handle.tasks, return_exceptions=True)
             if handle.writer is not None:
                 try:
                     # A hung shard never drains its socket; don't let a
@@ -904,11 +907,22 @@ class ClusterService:
             name=f"repro-shard-{handle.index}",
         )
         loop = asyncio.get_running_loop()
-        await loop.run_in_executor(None, process.start)
-        child.close()
-        # Owned by the handle before the handshake, so a stop() that
-        # cancels a respawn mid-handshake still reaps the new worker.
+        # Owned by the handle before it starts, so a stop() that cancels
+        # a respawn, during the start or the handshake, still reaps the
+        # new worker. A cancelled start runs to completion first: the
+        # executor thread cannot be stopped, and a worker started after
+        # stop() looked for it would never be reaped. Closing our end
+        # then lets that worker read EOF and exit.
         handle.process = process
+        starting = loop.run_in_executor(None, process.start)
+        try:
+            await asyncio.shield(starting)
+        except asyncio.CancelledError:
+            await starting
+            parent.close()
+            raise
+        finally:
+            child.close()
         reader, writer = await asyncio.open_connection(sock=parent)
         try:
             ready, _ = await asyncio.wait_for(

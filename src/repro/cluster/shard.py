@@ -15,9 +15,10 @@ socket:
     stamped at frame-write time on the sender's monotonic clock.
     Requests whose budget is already spent are answered with a
     structured ``deadline`` error (the rows are not computed); the rest
-    are answered by **one** ``predict_array`` call (one matmul per
-    state group, the hot path of the whole cluster), and each request's
-    reply carries its rows of that array as one column per metric.
+    are answered by **one** ``predict_array`` call (one expansion of
+    all rows and one gathered product per metric, the hot path of the
+    whole cluster), and each request's reply carries its rows of that
+    array as one column per metric.
 ``yield``
     Computes a correlation-shared yield/moment report for one served
     key (see :mod:`repro.yields`) and answers it entirely inside the

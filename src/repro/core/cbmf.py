@@ -282,13 +282,6 @@ class CBMF(MultiStateRegressor):
         self._require_fitted()
         return self._predictor
 
-    def predict(self, design: np.ndarray, state: int) -> np.ndarray:
-        """Predict one state, including any per-state offset."""
-        prediction = super().predict(design, state)
-        if self.offsets_ is not None and self.offsets_[state] != 0.0:
-            prediction = prediction + self.offsets_[state]
-        return prediction
-
     def predict_std(
         self,
         design: np.ndarray,

@@ -194,10 +194,3 @@ class ClusteredCBMF(MultiStateRegressor):
         self.coef_ = coef
         self.offsets_ = offsets
         return self
-
-    def predict(self, design: np.ndarray, state: int) -> np.ndarray:
-        """Predict one state, including any per-state offset."""
-        prediction = super().predict(design, state)
-        if self.offsets_ is not None and self.offsets_[state] != 0.0:
-            prediction = prediction + self.offsets_[state]
-        return prediction

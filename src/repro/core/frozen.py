@@ -105,13 +105,6 @@ class FrozenModel(MultiStateRegressor):
             "freeze it again"
         )
 
-    def predict(self, design: np.ndarray, state: int) -> np.ndarray:
-        """Predict one state, applying its offset."""
-        prediction = super().predict(design, state)
-        if self.offsets_[state] != 0.0:
-            prediction = prediction + self.offsets_[state]
-        return prediction
-
     # ------------------------------------------------------------------
     def save(self, path) -> None:
         """Serialize to a compressed ``.npz`` file."""

@@ -4,9 +4,11 @@ A fitted performance model's life after ``fit`` lives here:
 
 * :class:`ModelRegistry` — versioned on-disk store of frozen models
   (``name@vN`` keys, JSON manifests, sha256 integrity checks).
-* :class:`PredictionEngine` — answers a request list with one
-  vectorized matmul per state group; every row is computed, and
-  answers stay column arrays until a public method returns
+* :class:`PredictionEngine` — answers a request list with one basis
+  expansion and one gathered row-wise product per metric, each row
+  bit-identical to ``FrozenModel.predict`` of that row alone; every
+  row is computed, and answers stay column arrays until a public
+  method returns
   :class:`PredictionResult` rows. Requests computed together are sent
   together (``predict_many``); the cluster gateway merges concurrent
   remote requests before they reach a shard.

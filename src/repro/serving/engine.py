@@ -1,15 +1,15 @@
 """Prediction engine: one array computation per request list.
 
-The hot path of serving is a matmul — ``basis.expand(x) @ coef[state]``
-— and a matmul over one stacked design matrix is far cheaper than the
-same rows one by one. ``predict_array`` groups a request's rows by
-state and runs one ``basis.expand`` plus one
-:meth:`ServedModel.predict_design` per group, filling one
-``(rows, metrics)`` array — so every answer is an element of
-``FrozenModel.predict`` on that state's stacked rows, in request order.
-``predict_many`` wraps it in :class:`PredictionResult` rows, ``predict``
-answers one sample vector as a one-row request, and the cluster shards
-send the array's columns as they are.
+C-BMF models are linear in one shared basis, so ``predict_array``
+expands a request's rows once and fills each metric's column of one
+``(rows, metrics)`` array with one gathered row-wise product,
+``φ(x_i)·coef[s_i] + offset[s_i]``. That product is
+:func:`repro.core.base.rowwise_predict`, the kernel
+``FrozenModel.predict`` runs too, so every answer is bit-identical to
+``FrozenModel.predict`` of that row alone.
+``predict_many`` wraps the array in :class:`PredictionResult` rows,
+``predict`` answers one sample vector as a one-row request, and the
+cluster shards send the array's columns as they are.
 
 The engine holds no queue: callers that want their requests computed
 together send them together (``predict_many``), and the cluster
@@ -28,6 +28,7 @@ from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 import numpy as np
 
 from repro.basis import BasisDictionary
+from repro.core.base import rowwise_predict
 from repro.core.frozen import FrozenModel
 from repro.serving.metrics import ServingMetrics
 from repro.serving.requests import PredictionResult, results_from_columns
@@ -85,13 +86,7 @@ class ServedModel:
     def predict_design(
         self, design: np.ndarray, state: int
     ) -> Dict[str, np.ndarray]:
-        """One ``FrozenModel.predict`` per metric on a stacked design.
-
-        This is the single compute path of the whole serving layer:
-        batched answers are literally elements of these arrays, which is
-        what makes them bit-identical to direct ``FrozenModel.predict``
-        calls on the same matrix.
-        """
+        """One ``FrozenModel.predict`` per metric on one state's design."""
         return {
             metric: frozen.predict(design, state)
             for metric, frozen in self._models.items()
@@ -132,7 +127,7 @@ def _check_rows(
 
 
 class PredictionEngine:
-    """Answers request lists with one vectorized matmul per state group."""
+    """Answers request lists with one expand and one kernel call."""
 
     def __init__(self, metrics: Optional[ServingMetrics] = None) -> None:
         self.metrics = metrics if metrics is not None else ServingMetrics()
@@ -147,9 +142,9 @@ class PredictionEngine:
 
         Columns follow ``served.metric_names``; the array is
         column-major, so each metric's column — and any row range of
-        it — is contiguous. Rows are grouped by state and each group is
-        one ``FrozenModel.predict`` per metric on its stacked rows in
-        request order, so every answer is bit-identical to that call.
+        it — is contiguous. Each column is one
+        :func:`~repro.core.base.rowwise_predict` call in which every row
+        gathers its own state's coefficients.
         """
         started = time.perf_counter()
         x, states = _check_rows(served, x, states)
@@ -158,18 +153,13 @@ class PredictionEngine:
         out = np.empty((n, len(metrics)), order="F")
         if not n:
             return out
-        # A stable sort keeps each state's rows in request order.
-        order = np.argsort(states, kind="stable")
-        ordered = states[order]
-        starts = (np.flatnonzero(np.diff(ordered)) + 1).tolist()
-        for start, stop in zip([0] + starts, starts + [n]):
-            rows = order[start:stop]
-            answers = served.predict_design(
-                served.basis.expand(x[rows]), int(ordered[start])
+        design = served.basis.expand(x)
+        for j, metric in enumerate(metrics):
+            frozen = served.models[metric]
+            out[:, j] = rowwise_predict(
+                design, frozen.coef_, states, frozen.offsets_
             )
-            for j, metric in enumerate(metrics):
-                out[rows, j] = answers[metric]
-            self.metrics.record_batch(rows.size)
+        self.metrics.record_batch(n)
         self.metrics.record_request(
             (time.perf_counter() - started) / n, count=n
         )

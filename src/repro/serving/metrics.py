@@ -6,6 +6,10 @@ log-bucketed latency histogram whose memory is bounded by its bucket
 layout. ``snapshot()`` folds them into a plain, JSON-friendly dict that
 carries the histogram itself, so :func:`aggregate_snapshots` can merge
 the snapshots of many shard processes into true fleet quantiles.
+
+``batches`` counts kernel calls — one per ``predict_array`` call, so
+one per coalesced shard frame — and ``mean_batch_size`` is rows per
+kernel call (``perfbench`` reads it as ``engine.rows_per_batch``).
 """
 
 from __future__ import annotations
@@ -71,7 +75,7 @@ class ServingMetrics:
         self._counters.add(latency_s=latency_s, requests=count)
 
     def record_batch(self, size: int) -> None:
-        """Count one coalesced matmul over ``size`` rows."""
+        """Count one kernel call over ``size`` rows."""
         size = int(size)
         with self._counters.lock:
             counts = self._counters.lane().counts

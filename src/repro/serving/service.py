@@ -168,7 +168,7 @@ class ModelService:
     def predict_many(
         self, name: str, x: np.ndarray, states: Sequence[int]
     ) -> List[PredictionResult]:
-        """Answer a bulk request list (one matmul per state group)."""
+        """Answer a bulk request list (one expand, one kernel call)."""
         return self.engine.predict_many(self.served_model(name), x, states)
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic

@@ -46,7 +46,7 @@ def test_wall_clock_jump_never_expires_or_immortalizes(
         results = cluster.predict_many("lna", design, [0, 1, 2])
         direct = cluster_modelset.predict(design[:1], 0)
         for metric, value in results[0].values.items():
-            assert abs(value - float(direct[metric][0])) <= 1e-15
+            assert value == float(direct[metric][0])
         snapshot = cluster.metrics.snapshot()
         assert all(
             lane["deadline_expired"] == 0

@@ -51,7 +51,7 @@ class TestPredict:
         direct = cluster_modelset.predict(design[:1], 1)
         assert result.version == 1
         for metric, value in result.values.items():
-            assert abs(value - float(direct[metric][0])) <= 1e-15
+            assert value == float(direct[metric][0])
 
     def test_batch_bit_identical_across_states(
         self, cluster, cluster_modelset, design
@@ -62,7 +62,7 @@ class TestPredict:
         for row, (result, state) in enumerate(zip(results, states)):
             direct = cluster_modelset.predict(design[row:row + 1], state)
             for metric, value in result.values.items():
-                assert abs(value - float(direct[metric][0])) <= 1e-15
+                assert value == float(direct[metric][0])
 
     def test_empty_batch_short_circuits(self, cluster, cluster_modelset):
         x = np.empty((0, cluster_modelset.basis.n_variables))
@@ -248,9 +248,7 @@ class TestReplication:
             direct = cluster_modelset.predict(design, 0)
             for row, result in enumerate(results):
                 for metric, value in result.values.items():
-                    assert (
-                        abs(value - float(direct[metric][row])) <= 1e-15
-                    )
+                    assert value == float(direct[metric][row])
 
 
 class TestValidation:

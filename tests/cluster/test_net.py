@@ -102,13 +102,13 @@ class TestPredictOverTcp:
             direct = cluster_modelset.predict(design[row:row + 1], state)
             assert result.version == 1
             for metric, value in result.values.items():
-                assert abs(value - float(direct[metric][0])) <= 1e-15
+                assert value == float(direct[metric][0])
 
     def test_single_point(self, client, cluster_modelset, design):
         result = client.predict("lna", design[0], 2)
         direct = cluster_modelset.predict(design[:1], 2)
         for metric, value in result.values.items():
-            assert abs(value - float(direct[metric][0])) <= 1e-15
+            assert value == float(direct[metric][0])
 
     def test_empty_batch(self, client, cluster_modelset):
         x = np.empty((0, cluster_modelset.basis.n_variables))

@@ -72,7 +72,7 @@ class TestOpen:
             for state in range(frozen.coef_.shape[0]):
                 expected = frozen.predict(design, state)
                 got = mapped[metric].predict(design, state)
-                assert np.all(np.abs(got - expected) <= 1e-15)
+                assert np.array_equal(got, expected)
 
     def test_served_model_matches_modelset(
         self, store_dir, cluster_modelset
@@ -84,7 +84,7 @@ class TestOpen:
         outputs = served.predict_design(served.basis.expand(x), 2)
         direct = cluster_modelset.predict(x, 2)
         for metric in served.metric_names:
-            assert np.all(np.abs(outputs[metric] - direct[metric]) <= 1e-15)
+            assert np.array_equal(outputs[metric], direct[metric])
 
     def test_blocks_are_readonly_memmaps(self, store_dir):
         store = ModelStore.open(store_dir)
@@ -235,7 +235,7 @@ class TestFreshProcessRemap:
                 direct = cluster_modelset.predict(x, state)
                 for metric, expected in direct.items():
                     got = child[f"{metric}@{state}"]
-                    assert np.all(np.abs(got - expected) <= 1e-15), (
+                    assert np.array_equal(got, expected), (
                         metric, state
                     )
 
@@ -271,4 +271,4 @@ class TestKronFittedModels:
         for state in (0, 3, 5):
             expected = frozen.predict(design, state)
             got = mapped["s21_db"].predict(design, state)
-            assert np.all(np.abs(got - expected) <= 1e-15)
+            assert np.array_equal(got, expected)

@@ -23,9 +23,7 @@ class TestLifecycle:
             lna_dataset.n_variables
         )
         result = service.predict("lna", x, 3)
-        expected = served_modelset.predict_point(x, 3)
-        for metric, value in expected.items():
-            assert result.values[metric] == pytest.approx(value, abs=1e-12)
+        assert result.values == served_modelset.predict_point(x, 3)
 
     def test_alias(self, service, lna_dataset):
         service.load("lna@v1", alias="lna-canary")
@@ -61,10 +59,7 @@ class TestLifecycle:
         results = service.predict_many("lna", x, states)
         for i in range(n):
             expected = served_modelset.predict_point(x[i], int(states[i]))
-            for metric, value in expected.items():
-                assert results[i].values[metric] == pytest.approx(
-                    value, abs=1e-12
-                )
+            assert results[i].values == expected
         assert service.metrics.snapshot()["requests"] == n
 
 
