@@ -5,7 +5,9 @@ machine-readable reports next to the working directory:
 
 * ``BENCH_fit.json`` — the C-BMF fitting pipeline on the figure-2 LNA
   workload: full ``CBMF.fit``, the S-OMP/cross-validation initializer,
-  the EM refinement and one posterior solve;
+  the EM refinement, one posterior solve and one EM step (the solve plus
+  both M-step statistics), with the M-step statistics' parity against
+  the dense oracle;
 * ``BENCH_serving.json`` — the batched serving engine
   (``predict_many`` throughput on a fitted model set);
 * ``BENCH_streaming.json`` — the online-update path (per-batch
@@ -42,13 +44,13 @@ report fails a gate of its baseline, or when a suite has no baseline.
 Gates are data: each baseline carries a ``gates`` list such as
 ``{"path": "details.speedup_vs_dual", "min": 5}``, checked by
 :func:`check_gates`. They hold each suite's absolute claims (the kron
-speedup and parity, the yield RMSE win and memory ceiling) and the work
-counts its code path fixes (EM iterations, the posterior solver, state
-groups per call, rows after the stream), which do not drift with the
-host the way timings do. Baselines are refreshed by re-running with
-``--update-baseline`` on a quiet machine; the gates carry forward
-unchanged, so a change that moves a gated count edits the gate in its
-own diff.
+speedup and parity, the fit suite's M-step parity, the yield RMSE win
+and memory ceiling) and the work counts its code path fixes (EM
+iterations, the posterior solver, state groups per call, rows after the
+stream), which do not drift with the host the way timings do.
+Baselines are refreshed by re-running with ``--update-baseline`` on a
+quiet machine; the gates carry forward unchanged, so a change that
+moves a gated count edits the gate in its own diff.
 
 The demo workloads the CLI also drives live here once: the LNA fleet
 fit (:func:`demo_fleet`), random request batches
@@ -70,7 +72,16 @@ import sys
 import threading
 import time
 from pathlib import Path
-from typing import Callable, Dict, Iterator, List, Mapping, Sequence, Tuple
+from typing import (
+    Callable,
+    Dict,
+    Iterator,
+    List,
+    Mapping,
+    Optional,
+    Sequence,
+    Tuple,
+)
 
 import numpy as np
 
@@ -224,11 +235,13 @@ def sweep_problem(n_points: int, n_train: int, seed: int):
     return train, basis, basis.expand_states(train.inputs())
 
 
-def _sweep_cbmf(seed: int):
+def _sweep_cbmf(seed: int, max_workers: Optional[int] = None):
     """The kron and yield suites' estimator: a single-point CV grid.
 
     Every arm deterministically picks the same (r0, σ0, θ), so fits on
     different solver paths are comparable to solver round-off.
+    ``max_workers`` is the CV grid's process count (``None`` defers to
+    ``REPRO_MAX_WORKERS``).
     """
     from repro.core.cbmf import CBMF
     from repro.core.em import EmConfig
@@ -243,6 +256,7 @@ def _sweep_cbmf(seed: int):
         ),
         em_config=EmConfig(max_iterations=8),
         seed=seed,
+        max_workers=max_workers,
     )
 
 
@@ -255,7 +269,7 @@ def bench_fit(
     """Time the fit path on the figure-2 LNA workload at ``scale_name``."""
     from repro.basis.polynomial import LinearBasis
     from repro.core.cbmf import CBMF
-    from repro.core.posterior import compute_posterior
+    from repro.core.posterior import compute_posterior, compute_posterior_dense
     from repro.core.prior import CorrelatedPrior, ar1_correlation
     from repro.paper import SCALES, load_or_simulate
     from repro.utils.parallel import one_blas_thread
@@ -268,7 +282,8 @@ def bench_fit(
     targets = train.targets("nf_db")
 
     # Stage timings come from the FitReport of full fits; the posterior
-    # microbenchmark isolates the EM inner loop's dominant kernel.
+    # and EM-step microbenchmarks isolate the EM inner loop: the E-step
+    # solve alone, then the solve plus both M-step statistics it feeds.
     fits = []
 
     def one_fit():
@@ -291,10 +306,49 @@ def bench_fit(
             designs, targets, prior, 0.01, want_blocks=True
         )
 
-    # Timed on one BLAS thread, the way every fit runs the same call.
+    def em_step():
+        posterior = solve()
+        posterior.mstep_lambda_stats(prior.correlation)
+        posterior.mstep_scaled_moment(prior.lambdas)
+
+    # Timed on one BLAS thread, the way every fit runs the same calls.
     with one_blas_thread():
         posterior_median = _median_seconds(solve, max(repeats, 5))
+        em_step_median = _median_seconds(em_step, max(repeats, 5))
         posterior_solver = solve().solver
+
+    # M-step statistics against the dense oracle's literal einsums on a
+    # sub-problem small enough to materialize: first 6 states, first 60
+    # basis columns.
+    k_sub, m_sub = min(6, len(designs)), min(60, basis.n_basis)
+    sub_designs = [d[:, :m_sub] for d in designs[:k_sub]]
+    sub_targets = targets[:k_sub]
+    sub_prior = CorrelatedPrior(
+        lambdas=np.full(m_sub, 0.5),
+        correlation=ar1_correlation(k_sub, 0.8),
+    )
+    fast = compute_posterior(
+        sub_designs, sub_targets, sub_prior, 0.01, method="dual"
+    )
+    dense = compute_posterior_dense(
+        sub_designs, sub_targets, sub_prior, 0.01
+    )
+    pairs = list(
+        zip(
+            fast.mstep_lambda_stats(sub_prior.correlation),
+            dense.mstep_lambda_stats(sub_prior.correlation),
+        )
+    )
+    pairs.append(
+        (
+            fast.mstep_scaled_moment(sub_prior.lambdas),
+            dense.mstep_scaled_moment(sub_prior.lambdas),
+        )
+    )
+    mstep_parity = max(
+        float(np.max(np.abs(got - want)) / (np.max(np.abs(want)) or 1.0))
+        for got, want in pairs
+    )
 
     report = fits[-1]
     return {
@@ -315,6 +369,7 @@ def bench_fit(
             "somp_init": init_median,
             "em": em_median,
             "posterior_solve": posterior_median,
+            "em_step": em_step_median,
         },
         "details": {
             "em_iterations": report.em.n_iterations,
@@ -322,6 +377,7 @@ def bench_fit(
             "em_mstep_seconds": report.em.mstep_seconds,
             "n_active": report.n_active,
             "posterior_solver": posterior_solver,
+            "mstep_vs_dense_parity": mstep_parity,
         },
     }
 
@@ -663,10 +719,13 @@ def bench_kron(
     """Time ``CBMF.fit`` on the swept-frequency workload: kron vs dual.
 
     Both arms run the *identical* pipeline (same data, same single-point
-    CV grid, same EM cap); only ``REPRO_POSTERIOR_SOLVER`` differs, so
-    the measured ratio is purely the solver. The dual arm is timed once
-    per K (it costs minutes at K=201 — exactly the problem the Kronecker
-    path removes); the kron arm reports the median over ``repeats``.
+    CV grid, same EM cap); only ``REPRO_POSTERIOR_SOLVER`` differs. The
+    CV grid runs inline whatever ``REPRO_MAX_WORKERS`` says: a process
+    pool started inside each timed fit would add the same start-up
+    seconds to both arms and pull the ratio towards 1, so the measured
+    ratio is purely the solver. The dual arm is timed once per K (it is
+    the slow arm, 10-30 s at K=201 — exactly the cost the Kronecker path
+    removes); the kron arm reports the median over ``repeats``.
     Coefficient parity is recorded at full K between the two arms, and
     both fast paths are checked against ``compute_posterior_dense`` on a
     column/state-restricted sub-problem small enough to materialize the
@@ -681,7 +740,9 @@ def bench_kron(
     targets = train.targets("s21_db")
 
     def fit(n_states: int):
-        return _sweep_cbmf(seed).fit(designs[:n_states], targets[:n_states])
+        return _sweep_cbmf(seed, max_workers=1).fit(
+            designs[:n_states], targets[:n_states]
+        )
 
     def timed_dual(fn):
         previous = os.environ.get("REPRO_POSTERIOR_SOLVER")

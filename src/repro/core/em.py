@@ -3,8 +3,9 @@
 Starting from the S-OMP/cross-validation initial guess, each iteration
 alternates:
 
-* **E-step** — the posterior mean blocks ``μ_p^m`` and covariance blocks
-  ``Σ_p^m`` at the current ``Ω = {λ, R, σ0}`` (eq. 19-21);
+* **E-step** — the posterior at the current ``Ω = {λ, R, σ0}``
+  (eq. 19-21): mean blocks ``μ_p^m`` and the covariance blocks ``Σ_p^m``
+  in the solver's factored form;
 * **M-step** — the closed-form updates (eq. 29-31):
 
     λ_m ← ( μ^mᵀ R⁻¹ μ^m + Tr(R⁻¹ Σ^m) ) / K
@@ -27,7 +28,7 @@ Implementation notes beyond the paper:
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -88,9 +89,12 @@ class EmTrace:
     converged: bool = False
     seconds: float = 0.0
     #: Wall-clock spent in the E-step posterior solves (incl. the final
-    #: full-basis solve), for profiling the fit path.
+    #: full-basis solve), for profiling the fit path. The solve returns
+    #: the covariance factored, so this excludes reading it.
     posterior_seconds: float = 0.0
-    #: Wall-clock spent in the closed-form M-step updates.
+    #: Wall-clock spent in the closed-form M-step updates, including the
+    #: products that read the factored covariance (on the dual path, two
+    #: ``n × n × M`` GEMMs over ``C⁻¹``).
     mstep_seconds: float = 0.0
 
     @property
@@ -143,8 +147,8 @@ def run_em(
 
         # ---------------- M-step ----------------
         # The moment contractions live on PosteriorResult so each solver
-        # representation (dense (M, K, K) blocks vs Kronecker factors)
-        # supplies them without materializing the other's form.
+        # supplies them from its own factored covariance, without
+        # materializing (M, K, K) blocks.
         m_started = time.perf_counter()
         quad, traces = posterior.mstep_lambda_stats(correlation)
         new_lambdas = lambdas.copy()
@@ -224,14 +228,6 @@ def _full_posterior(
         noise_var=noise_var,
         want_blocks=False,
     )
-    n_basis = data.n_basis
-    mean = np.zeros((n_basis, sub.mean.shape[1]))
+    mean = np.zeros((data.n_basis, sub.mean.shape[1]))
     mean[active] = sub.mean
-    return PosteriorResult(
-        mean=mean,
-        sigma_blocks=None,
-        residual_sq=sub.residual_sq,
-        trace_dsd=sub.trace_dsd,
-        nll=sub.nll,
-        noise_var=noise_var,
-    )
+    return replace(sub, mean=mean)

@@ -54,6 +54,7 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard
 __all__ = [
     "KRON_MIN_STATES",
     "KroneckerFactors",
+    "check_solved_correlation",
     "compute_posterior_kron",
     "kron_applicable",
     "resolve_solver_mode",
@@ -127,6 +128,19 @@ def _psd_eigh(matrix: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
     return np.maximum(values, 0.0), vectors
 
 
+def check_solved_correlation(
+    solved: np.ndarray, correlation: np.ndarray
+) -> None:
+    """Refuse an M-step at an R other than the one a posterior was solved
+    at: factored statistics read that R from the solve, so a different
+    one would give wrong numbers without any error."""
+    if correlation is not solved and not np.array_equal(correlation, solved):
+        raise ValueError(
+            "M-step correlation differs from the R this posterior "
+            "was solved at — the factored statistics would be wrong"
+        )
+
+
 @dataclass
 class KroneckerFactors:
     """Factored posterior covariance ``Σ^m = Q·diag(V[m, :])·Qᵀ``.
@@ -143,8 +157,7 @@ class KroneckerFactors:
         Rotated posterior mean ``μ̃ = mean · Q`` (M × K).
     vdiag:
         ``V[m, j] = Σ̃_j[m, m]`` (M × K) — the complete description of
-        the per-basis covariance blocks; ``None`` when the solve skipped
-        the uncertainty pass (``want_blocks=False``).
+        the per-basis covariance blocks.
     lambdas, noise_var:
         The prior scales and σ0² of the solve (for the λ M-step).
     """
@@ -153,35 +166,16 @@ class KroneckerFactors:
     omega: np.ndarray
     correlation: np.ndarray
     mean_rot: np.ndarray
-    vdiag: Optional[np.ndarray]
+    vdiag: np.ndarray
     lambdas: np.ndarray
     noise_var: float
 
-    def _require_vdiag(self) -> np.ndarray:
-        if self.vdiag is None:
-            raise NumericalError(
-                "posterior covariance factors were not computed (solved "
-                "with want_blocks=False); re-solve with want_blocks=True"
-            )
-        return self.vdiag
-
-    def _check_correlation(self, correlation: np.ndarray) -> None:
-        if correlation is not self.correlation and not np.array_equal(
-            correlation, self.correlation
-        ):
-            raise ValueError(
-                "M-step correlation differs from the R this posterior "
-                "was solved at — the factored statistics would be wrong"
-            )
-
-    # ------------------------------------------------------------------
-    def materialize_blocks(self) -> np.ndarray:
+    def covariance_blocks(self) -> np.ndarray:
         """Dense (M, K, K) covariance blocks — tests/inspection only.
 
         O(M·K²) memory and O(M·K²) time; the fit path never calls this.
         """
-        vdiag = self._require_vdiag()
-        return np.einsum("kj,mj,lj->mkl", self.q, vdiag, self.q)
+        return np.einsum("kj,mj,lj->mkl", self.q, self.vdiag, self.q)
 
     def mstep_lambda_stats(
         self, correlation: np.ndarray
@@ -193,8 +187,7 @@ class KroneckerFactors:
         the ω factors cancel analytically (μ̃ and V both carry one power
         of ω), so singular R costs nothing here.
         """
-        self._check_correlation(correlation)
-        vdiag = self._require_vdiag()
+        check_solved_correlation(self.correlation, correlation)
         # μ̃[m, j] = ω_j·λ_m^{1/2}·T[m, j]·λ_m^{1/2}/σ0² with finite T, so
         # μ̃²/ω = λ_m·ω·(λ_m^{1/2}T/σ0²)² — recover it from μ̃ directly,
         # zeroing the 0/0 slots a singular R produces (μ̃ is exactly 0
@@ -207,7 +200,7 @@ class KroneckerFactors:
             )
             trace_terms = np.where(
                 self.omega[None, :] > 0.0,
-                vdiag / self.omega[None, :],
+                self.vdiag / self.omega[None, :],
                 0.0,
             )
         return quad_terms.sum(axis=1), trace_terms.sum(axis=1)
@@ -220,9 +213,8 @@ class KroneckerFactors:
         (K × M)(M × K) product. O(M·K² + K³) instead of materializing M
         K×K blocks.
         """
-        vdiag = self._require_vdiag()
         scale = np.asarray(scale, dtype=float)
-        diag_sum = (vdiag / scale[:, None]).sum(axis=0)  # (K,)
+        diag_sum = (self.vdiag / scale[:, None]).sum(axis=0)  # (K,)
         covariance_part = (self.q * diag_sum) @ self.q.T
         mean = self.mean_rot @ self.q.T  # (M, K) in the original frame
         mean_part = (mean / scale[:, None]).T @ mean
@@ -284,7 +276,7 @@ def compute_posterior_kron(
     )
     nll = residual_sq / noise_var + quad_prior + log_det
 
-    vdiag = None
+    factors = None
     trace_dsd: Optional[float] = None
     if want_blocks:
         inv_denom = 1.0 / denom
@@ -295,22 +287,21 @@ def compute_posterior_kron(
             * omega[None, :]
         )
         trace_dsd = float(np.sum((gamma[:, None] * inv_denom) * omega))
-
-    factors = KroneckerFactors(
-        q=q_matrix,
-        omega=omega,
-        correlation=correlation,
-        mean_rot=mean_rot,
-        vdiag=vdiag,
-        lambdas=lambdas,
-        noise_var=noise_var,
-    )
+        factors = KroneckerFactors(
+            q=q_matrix,
+            omega=omega,
+            correlation=correlation,
+            mean_rot=mean_rot,
+            vdiag=vdiag,
+            lambdas=lambdas,
+            noise_var=noise_var,
+        )
     return PosteriorResult(
         mean=mean,
-        sigma_blocks=None,
         residual_sq=residual_sq,
         trace_dsd=trace_dsd,
         nll=float(nll),
         noise_var=noise_var,
-        kron=factors,
+        solver="kron",
+        factors=factors,
     )

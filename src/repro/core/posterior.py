@@ -17,10 +17,20 @@ the block prior (eq. 11). Forming either is hopeless at the paper's scale
   per-basis covariance block ``Σ_p^m = λ_m R − λ_m² R S_m R`` with
   ``S_m[a,b] = Σ_{i∈a, j∈b} Φ[i,m]·C⁻¹[i,j]·Φ[j,m]``.
 
-Those blocks are exactly what the EM updates (eq. 29-31) consume, so the
-whole algorithm runs in ``O(n²·M + n³)`` per iteration instead of
-``O((MK)³)``. ``compute_posterior_dense`` keeps the literal textbook
-formulas as a cross-check oracle for tests.
+The EM updates (eq. 29-31) never need the blocks themselves, only three
+statistics of them, and each reads ``C⁻¹`` directly (the first two
+through one ``n × n × M`` product each):
+
+    Tr(R⁻¹Σ^m)    = λ_m·Tr(R⁻¹R) − λ_m²·φ_mᵀ (C⁻¹ ∘ R[s, s]) φ_m
+    Σ_m Σ^m/ℓ_m   = (Σ_m λ_m/ℓ_m)·R − R·B·R,
+                    B = blocksum_K(C⁻¹ ∘ Φ·diag(λ²/ℓ)·Φᵀ)
+    Tr(D Σ_p Dᵀ)  = σ0²·(n − σ0²·Tr(C⁻¹))
+
+so the dual path returns its covariance factored (:class:`DualFactors`:
+``C⁻¹`` and the ``(λ, R)`` of the solve) and the whole algorithm runs in
+``O(n²·M + n³)`` per iteration with no ``(M, K, K)`` array.
+``compute_posterior_dense`` keeps the literal textbook formulas, blocks
+and einsums included, as a cross-check oracle for tests.
 
 For *state-balanced* data (every state fitted on the same design matrix,
 e.g. a swept-frequency dataset) a second fast path exists: the Kronecker
@@ -33,7 +43,7 @@ two (``method="auto"``); both are validated against the dense oracle.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional, Sequence, Tuple, Union
+from typing import Optional, Sequence, Tuple, Union
 
 import numpy as np
 from scipy import linalg as sla
@@ -41,6 +51,7 @@ from scipy import linalg as sla
 from repro.core.base import validate_multistate
 from repro.core.kronecker import (
     KroneckerFactors,
+    check_solved_correlation,
     compute_posterior_kron,
     kron_applicable,
     resolve_solver_mode,
@@ -50,7 +61,137 @@ from repro.core.prior import CorrelatedPrior
 from repro.errors import NumericalError
 from repro.utils.linalg import cholesky_factor, inv_from_cholesky, inv_psd
 
-__all__ = ["PosteriorResult", "compute_posterior", "compute_posterior_dense"]
+__all__ = [
+    "DenseBlocks",
+    "DualFactors",
+    "PosteriorResult",
+    "compute_posterior",
+    "compute_posterior_dense",
+]
+
+
+@dataclass
+class DualFactors:
+    """The dual path's covariance ``Σ^m = λ_m·R − λ_m²·R·S_m·R``, factored.
+
+    Holds ``C⁻¹`` and the ``(λ, R)`` of the solve; every M-step statistic
+    is one ``n × n × M`` product over them (module docstring), so no
+    ``S_m`` or ``Σ^m`` is formed.
+
+    Attributes
+    ----------
+    data:
+        The (possibly column-restricted) data the solve ran on.
+    c_inv:
+        ``C⁻¹``, shape (n, n).
+    r_rows:
+        ``R[s, s]``, shape (n, n) — the expansion the solve built ``C``
+        from.
+    correlation, lambdas:
+        The R and λ of the solve.
+    mean:
+        The posterior mean, shape (M, K).
+    """
+
+    data: MultiStateData
+    c_inv: np.ndarray
+    r_rows: np.ndarray
+    correlation: np.ndarray
+    lambdas: np.ndarray
+    mean: np.ndarray
+
+    def covariance_blocks(self) -> np.ndarray:
+        """Dense (M, K, K) blocks — tests and inspection only.
+
+        Forms every ``S_m`` by a segment sum per state, O(M·K²) memory;
+        the fit path reads the statistics below instead.
+        """
+        data, phi = self.data, self.data.phi
+        n_states = data.n_states
+        s_tensor = np.empty((data.n_basis, n_states, n_states))
+        for b, rows_b in enumerate(data.state_slices):
+            cross = phi * (self.c_inv[:, rows_b] @ phi[rows_b])
+            s_tensor[:, :, b] = data.segment_sum(cross).T
+        s_tensor = 0.5 * (s_tensor + np.swapaxes(s_tensor, 1, 2))
+        r = self.correlation
+        return (
+            self.lambdas[:, None, None] * r[None, :, :]
+            - (self.lambdas**2)[:, None, None] * (r @ s_tensor @ r)
+        )
+
+    def mstep_lambda_stats(
+        self, correlation: np.ndarray
+    ) -> Tuple[np.ndarray, np.ndarray]:
+        """Per-basis ``(μ^mᵀR⁻¹μ^m, Tr(R⁻¹Σ^m))`` from one GEMM over C⁻¹."""
+        check_solved_correlation(self.correlation, correlation)
+        r_inv = inv_psd(correlation)
+        quad = np.einsum("mk,kl,ml->m", self.mean, r_inv, self.mean)
+        phi = self.data.phi
+        # φ_mᵀ(C⁻¹ ∘ R[s, s])φ_m = Tr(S_m·R), column by column.
+        weighted = (self.c_inv * self.r_rows) @ phi
+        tr_sr = np.einsum("im,im->m", phi, weighted)
+        tr_rinv_r = float(np.einsum("kl,lk->", r_inv, correlation))
+        traces = self.lambdas * tr_rinv_r - self.lambdas**2 * tr_sr
+        return quad, traces
+
+    def mstep_scaled_moment(self, scale: np.ndarray) -> np.ndarray:
+        """``Σ_m (Σ^m + μ^m·μ^mᵀ)/scale_m`` from one GEMM over C⁻¹."""
+        scale = np.asarray(scale, dtype=float)
+        data, phi = self.data, self.data.phi
+        # B = Σ_m (λ_m²/ℓ_m)·S_m: block-sum C⁻¹ ∘ Φ·diag(λ²/ℓ)·Φᵀ over
+        # the state segments of both axes.
+        kernel = (phi * (self.lambdas**2 / scale)) @ phi.T
+        kernel *= self.c_inv
+        b_matrix = data.segment_sum(data.segment_sum(kernel).T)
+        b_matrix = 0.5 * (b_matrix + b_matrix.T)
+        r = self.correlation
+        covariance_part = float(np.sum(self.lambdas / scale)) * r - (
+            r @ b_matrix @ r
+        )
+        mean_part = (self.mean / scale[:, None]).T @ self.mean
+        return covariance_part + mean_part
+
+
+@dataclass
+class DenseBlocks:
+    """Materialized (M, K, K) covariance blocks — the dense oracle's form.
+
+    Its M-step statistics are the literal einsums of eq. 29-30, which the
+    factored forms of :class:`DualFactors` and
+    :class:`repro.core.kronecker.KroneckerFactors` are tested against.
+    """
+
+    blocks: np.ndarray
+    mean: np.ndarray
+
+    def covariance_blocks(self) -> np.ndarray:
+        """The blocks themselves."""
+        return self.blocks
+
+    def mstep_lambda_stats(
+        self, correlation: np.ndarray
+    ) -> Tuple[np.ndarray, np.ndarray]:
+        """Per-basis ``(μ^mᵀR⁻¹μ^m, Tr(R⁻¹Σ^m))``, literally."""
+        r_inv = inv_psd(correlation)
+        quad = np.einsum("mk,kl,ml->m", self.mean, r_inv, self.mean)
+        traces = np.einsum("kl,mlk->m", r_inv, self.blocks)
+        return quad, traces
+
+    def mstep_scaled_moment(self, scale: np.ndarray) -> np.ndarray:
+        """``Σ_m (Σ^m + μ^m·μ^mᵀ)/scale_m``, literally."""
+        second_moment = self.blocks + np.einsum(
+            "mk,ml->mkl", self.mean, self.mean
+        )
+        contributions = second_moment / np.asarray(scale, dtype=float)[
+            :, None, None
+        ]
+        return contributions.sum(axis=0)
+
+
+#: The covariance representations a solver can return; each implements
+#: ``covariance_blocks``, ``mstep_lambda_stats`` and
+#: ``mstep_scaled_moment``.
+CovarianceFactors = Union[DualFactors, KroneckerFactors, DenseBlocks]
 
 
 @dataclass
@@ -62,14 +203,6 @@ class PosteriorResult:
     mean:
         Posterior mean, shape (M, K): ``mean[m, k]`` is the MAP coefficient
         of basis m in state k (the paper's α_{k,m}, eq. 22).
-    sigma_blocks:
-        Per-basis K×K posterior covariance blocks Σ_p^m, shape (M, K, K);
-        ``None`` when not requested — and *also* ``None`` on the
-        Kronecker path, which keeps the blocks factored in :attr:`kron`
-        instead of materializing O(M·K²) memory. Consumers that need
-        block statistics go through :meth:`mstep_lambda_stats` /
-        :meth:`mstep_scaled_moment` / :meth:`covariance_blocks`, which
-        work for either representation.
     residual_sq:
         ``‖y − D μ_p‖²`` summed over all states.
     trace_dsd:
@@ -83,84 +216,63 @@ class PosteriorResult:
         ``n·log 2π``).
     noise_var:
         The σ0² used for this solve.
-    kron:
-        :class:`repro.core.kronecker.KroneckerFactors` when this result
-        came from the Kronecker solver (factored covariance), else None.
+    solver:
+        Which path produced this result: ``"dual"``, ``"kron"`` or
+        ``"oracle"`` (:func:`compute_posterior_dense`).
+    factors:
+        The posterior covariance in the solver's own representation
+        (:class:`DualFactors`, :class:`repro.core.kronecker.KroneckerFactors`
+        or the oracle's :class:`DenseBlocks`); ``None`` when the solve
+        skipped the covariance pass (``want_blocks=False``). Consumers go
+        through :meth:`mstep_lambda_stats`, :meth:`mstep_scaled_moment`
+        and :meth:`covariance_blocks`.
     """
 
     mean: np.ndarray
-    sigma_blocks: Optional[np.ndarray]
     residual_sq: float
     trace_dsd: Optional[float]
     nll: float
     noise_var: float
-    kron: Optional[KroneckerFactors] = None
+    solver: str
+    factors: Optional[CovarianceFactors] = None
 
     @property
     def coef(self) -> np.ndarray:
         """Coefficients in estimator layout, shape (K, M)."""
         return self.mean.T
 
-    @property
-    def solver(self) -> str:
-        """Which fast path produced this result: ``"kron"`` or ``"dual"``."""
-        return "kron" if self.kron is not None else "dual"
-
     # ------------------------------------------------------------------
     # representation-agnostic covariance consumers
     # ------------------------------------------------------------------
-    def covariance_blocks(self) -> np.ndarray:
-        """Dense (M, K, K) blocks, materializing Kronecker factors on demand.
+    def _require_factors(self) -> CovarianceFactors:
+        if self.factors is None:
+            raise NumericalError(
+                "posterior covariance was not computed (solved with "
+                "want_blocks=False); re-solve with want_blocks=True"
+            )
+        return self.factors
 
-        O(M·K²) memory on the Kronecker path — for tests and inspection;
-        the fit path consumes the factored statistics below instead.
+    def covariance_blocks(self) -> np.ndarray:
+        """Dense (M, K, K) blocks, materialized from the factors on demand.
+
+        O(M·K²) memory on the fast paths — for tests and inspection; the
+        fit path consumes the factored statistics below instead.
         """
-        if self.sigma_blocks is not None:
-            return self.sigma_blocks
-        if self.kron is not None:
-            return self.kron.materialize_blocks()
-        raise NumericalError(
-            "posterior covariance was not computed (solved with "
-            "want_blocks=False); re-solve with want_blocks=True"
-        )
+        return self._require_factors().covariance_blocks()
 
     def mstep_lambda_stats(
         self, correlation: np.ndarray
     ) -> Tuple[np.ndarray, np.ndarray]:
         """Per-basis ``(μ^mᵀR⁻¹μ^m, Tr(R⁻¹Σ^m))`` for the λ update (eq. 29).
 
-        ``correlation`` must be the R this posterior was solved at. The
-        dense representation evaluates the literal einsums; the Kronecker
-        representation reads both off its ω-grid without forming R⁻¹.
+        ``correlation`` must be the R this posterior was solved at; the
+        fast paths raise :class:`ValueError` otherwise.
         """
-        if self.kron is not None:
-            return self.kron.mstep_lambda_stats(correlation)
-        if self.sigma_blocks is None:
-            raise NumericalError(
-                "posterior covariance was not computed (solved with "
-                "want_blocks=False); re-solve with want_blocks=True"
-            )
-        r_inv = inv_psd(correlation)
-        quad = np.einsum("mk,kl,ml->m", self.mean, r_inv, self.mean)
-        traces = np.einsum("kl,mlk->m", r_inv, self.sigma_blocks)
-        return quad, traces
+        return self._require_factors().mstep_lambda_stats(correlation)
 
     def mstep_scaled_moment(self, scale: np.ndarray) -> np.ndarray:
         """``Σ_m (Σ^m + μ^m·μ^mᵀ)/scale_m`` — the R-update numerator (eq. 30)."""
-        if self.kron is not None:
-            return self.kron.mstep_scaled_moment(scale)
-        if self.sigma_blocks is None:
-            raise NumericalError(
-                "posterior covariance was not computed (solved with "
-                "want_blocks=False); re-solve with want_blocks=True"
-            )
-        second_moment = self.sigma_blocks + np.einsum(
-            "mk,ml->mkl", self.mean, self.mean
-        )
-        contributions = second_moment / np.asarray(scale, dtype=float)[
-            :, None, None
-        ]
-        return contributions.sum(axis=0)
+        return self._require_factors().mstep_scaled_moment(scale)
 
     def require_trace_dsd(self) -> float:
         """``Tr(D Σ_p Dᵀ)``, or :class:`NumericalError` if unavailable.
@@ -202,7 +314,7 @@ def compute_posterior(
     want_blocks: bool = True,
     method: str = "auto",
 ) -> PosteriorResult:
-    """Posterior mean/blocks/marginal-likelihood through a fast path.
+    """Posterior mean, factored covariance and marginal likelihood.
 
     Parameters
     ----------
@@ -217,9 +329,10 @@ def compute_posterior(
     noise_var:
         Observation noise variance σ0² (> 0).
     want_blocks:
-        Skip the covariance pass when only the MAP mean and the marginal
-        likelihood are needed (e.g. pure prediction) — it dominates
-        runtime for large M on the dual path.
+        Skip the covariance pass (``C⁻¹`` on the dual path, the variance
+        grid on the Kronecker path) when only the MAP mean and the
+        marginal likelihood are needed (e.g. pure prediction); the
+        result then carries no ``factors`` and no ``trace_dsd``.
     method:
         ``"auto"`` (default) — dual-space solve, except state-balanced
         data with ≥ :data:`repro.core.kronecker.KRON_MIN_STATES` states
@@ -272,9 +385,9 @@ def compute_posterior(
     n_rows = data.n_rows
 
     # C = σ0²·I + (Φ Λ Φᵀ) ∘ R[s, s]
-    gram = (phi * lambdas) @ phi.T
-    dad = gram * data.expand_correlation(correlation)
-    c_matrix = dad.copy()
+    r_rows = data.expand_correlation(correlation)
+    c_matrix = (phi * lambdas) @ phi.T
+    c_matrix *= r_rows
     c_matrix.flat[:: n_rows + 1] += noise_var
     factor = cholesky_factor(c_matrix)
 
@@ -290,7 +403,7 @@ def compute_posterior(
     log_det = 2.0 * float(np.sum(np.log(np.diag(factor))))
     nll = float(y @ v) + log_det
 
-    sigma_blocks = None
+    factors = None
     trace_dsd: Optional[float] = None
     if want_blocks:
         c_inv = inv_from_cholesky(factor)
@@ -299,31 +412,23 @@ def compute_posterior(
         trace_dsd = noise_var * (
             n_rows - noise_var * float(np.trace(c_inv))
         )
-        # S[m, a, b] = Φ_aᵀ[:, m] · C⁻¹[a-block, b-block] · Φ_b[:, m]:
-        # one (n × n_b)(n_b × M) product per state b, then a segment-sum
-        # over the a-axis — O(n²M) total with a K-length Python loop.
-        # The (n, M) scratch buffer is reused across states.
-        s_tensor = np.empty((n_basis, n_states, n_states))
-        cross = np.empty_like(phi)
-        for b, rows_b in enumerate(data.state_slices):
-            np.matmul(c_inv[:, rows_b], phi[rows_b], out=cross)
-            np.multiply(phi, cross, out=cross)
-            s_tensor[:, :, b] = data.segment_sum(cross).T
-        s_tensor = 0.5 * (s_tensor + np.swapaxes(s_tensor, 1, 2))
-        # Σ^m = λ_m·R − λ_m²·R·S_m·R
-        rsr = correlation @ s_tensor @ correlation
-        sigma_blocks = (
-            lambdas[:, None, None] * correlation[None, :, :]
-            - (lambdas**2)[:, None, None] * rsr
+        factors = DualFactors(
+            data=data,
+            c_inv=c_inv,
+            r_rows=r_rows,
+            correlation=correlation,
+            lambdas=lambdas,
+            mean=mean,
         )
 
     return PosteriorResult(
         mean=mean,
-        sigma_blocks=sigma_blocks,
         residual_sq=residual_sq,
         trace_dsd=trace_dsd,
         nll=nll,
         noise_var=noise_var,
+        solver="dual",
+        factors=factors,
     )
 
 
@@ -382,9 +487,10 @@ def compute_posterior_dense(
 
     return PosteriorResult(
         mean=mean,
-        sigma_blocks=blocks,
         residual_sq=float(residual @ residual),
         trace_dsd=trace_dsd,
         nll=nll,
         noise_var=noise_var,
+        solver="oracle",
+        factors=DenseBlocks(blocks=blocks, mean=mean),
     )

@@ -52,10 +52,13 @@ def cholesky_factor(matrix: np.ndarray) -> np.ndarray:
     matrix = symmetrize(np.asarray(matrix, dtype=float))
     scale = max(float(np.trace(matrix)) / max(matrix.shape[0], 1), 1e-300)
     for jitter in _JITTERS:
+        shifted = (
+            matrix + (jitter * scale) * np.eye(matrix.shape[0])
+            if jitter
+            else matrix
+        )
         try:
-            return np.linalg.cholesky(
-                matrix + (jitter * scale) * np.eye(matrix.shape[0])
-            )
+            return np.linalg.cholesky(shifted)
         except np.linalg.LinAlgError:
             continue
     raise NumericalError(
@@ -92,9 +95,7 @@ def inv_from_cholesky(factor: np.ndarray) -> np.ndarray:
     if info != 0:
         raise NumericalError(f"dpotri failed with info={info}")
     # dpotri fills only the lower triangle; mirror it.
-    upper = np.triu_indices_from(inverse, k=1)
-    inverse[upper] = inverse.T[upper]
-    return inverse
+    return np.tril(inverse) + np.tril(inverse, -1).T
 
 
 def log_det_psd(matrix: np.ndarray) -> float:

@@ -67,10 +67,11 @@ def assert_matches_dense(kron_result, dense, rtol=RTOL):
     np.testing.assert_allclose(
         kron_result.mean, dense.mean, rtol=rtol, atol=rtol * mean_scale
     )
-    block_scale = float(np.abs(dense.sigma_blocks).max(initial=1e-12))
+    dense_blocks = dense.covariance_blocks()
+    block_scale = float(np.abs(dense_blocks).max(initial=1e-12))
     np.testing.assert_allclose(
         kron_result.covariance_blocks(),
-        dense.sigma_blocks,
+        dense_blocks,
         rtol=rtol,
         atol=rtol * block_scale,
     )
@@ -157,7 +158,7 @@ class TestKronVsDenseOracle:
         )
         np.testing.assert_allclose(
             kron_result.covariance_blocks(),
-            dual.sigma_blocks,
+            dual.covariance_blocks(),
             rtol=1e-8,
             atol=1e-10,
         )
@@ -211,15 +212,17 @@ class TestMstepStatistics:
         )
 
     def test_mismatched_correlation_rejected(self):
-        """The factored statistics are only valid at the solve's R."""
+        """The factored statistics are only valid at the solve's R, on
+        either fast path."""
         noise_var = 0.1
         designs, targets, prior = make_balanced(5, 4, 3, 5, 0.6, noise_var)
-        result = compute_posterior(
-            designs, targets, prior, noise_var, method="kron"
-        )
         other = ar1_correlation(4, 0.3)
-        with pytest.raises(ValueError, match="correlation differs"):
-            result.mstep_lambda_stats(other)
+        for method in ("kron", "dual"):
+            result = compute_posterior(
+                designs, targets, prior, noise_var, method=method
+            )
+            with pytest.raises(ValueError, match="correlation differs"):
+                result.mstep_lambda_stats(other)
 
     def test_full_em_parity_between_solvers(self, monkeypatch):
         """run_em converges to the same hyper-parameters on either path."""
@@ -244,8 +247,7 @@ class TestMstepStatistics:
         )
         config = EmConfig(max_iterations=6)
 
-        # Count the actual Kronecker solves (run_em re-wraps its final
-        # posterior without the factors, so result.solver can't tell).
+        # Count every Kronecker solve, not only the final posterior's.
         import repro.core.posterior as posterior_module
 
         kron_calls = {"dual": 0, "kron": 0}
@@ -392,7 +394,10 @@ class TestMemoryContract:
         finally:
             tracemalloc.stop()
         assert result.solver == "kron"
-        assert result.sigma_blocks is None
+        # No (M, K, K) array is held: the factors are (K, K), (M, K)
+        # and (K,) arrays.
+        held = [result.mean, *vars(result.factors).values()]
+        assert all(np.ndim(array) <= 2 for array in held)
         blocked = 8 * (n_basis * n_states) ** 2  # dense A or Σ_p
         kernel = 8 * (n_per * n_states) ** 2  # dual-path C
         tensor = 8 * n_basis * n_states**2  # (M, K, K) blocks

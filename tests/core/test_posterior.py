@@ -1,9 +1,12 @@
 """Tests for the dual-space MAP posterior against the textbook oracle."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from repro.core.multistate import MultiStateData
 from repro.core.posterior import compute_posterior, compute_posterior_dense
 from repro.core.prior import CorrelatedPrior, ar1_correlation
 
@@ -32,7 +35,7 @@ class TestAgainstDenseOracle:
         dense = compute_posterior_dense(designs, targets, prior, 0.4)
         assert np.allclose(fast.mean, dense.mean, atol=1e-8)
         assert np.allclose(
-            fast.sigma_blocks, dense.sigma_blocks, atol=1e-8
+            fast.covariance_blocks(), dense.covariance_blocks(), atol=1e-8
         )
         assert fast.nll == pytest.approx(dense.nll, rel=1e-8)
         assert fast.residual_sq == pytest.approx(
@@ -45,7 +48,9 @@ class TestAgainstDenseOracle:
         fast = compute_posterior(designs, targets, prior, 0.2)
         dense = compute_posterior_dense(designs, targets, prior, 0.2)
         assert np.allclose(fast.mean, dense.mean, atol=1e-8)
-        assert np.allclose(fast.sigma_blocks, dense.sigma_blocks, atol=1e-8)
+        assert np.allclose(
+            fast.covariance_blocks(), dense.covariance_blocks(), atol=1e-8
+        )
 
 
 class TestSpecialCases:
@@ -96,7 +101,7 @@ class TestSpecialCases:
     def test_posterior_covariance_blocks_psd(self):
         designs, targets, prior = random_instance(6)
         posterior = compute_posterior(designs, targets, prior, 0.5)
-        for block in posterior.sigma_blocks:
+        for block in posterior.covariance_blocks():
             eigenvalues = np.linalg.eigvalsh(0.5 * (block + block.T))
             assert eigenvalues.min() > -1e-10
 
@@ -106,7 +111,7 @@ class TestSpecialCases:
         posterior = compute_posterior(designs, targets, prior, 0.5)
         for m in range(prior.n_basis):
             prior_var = np.diag(prior.block_covariance(m))
-            post_var = np.diag(posterior.sigma_blocks[m])
+            post_var = np.diag(posterior.covariance_blocks()[m])
             assert np.all(post_var <= prior_var + 1e-12)
 
     def test_want_blocks_false_skips_blocks(self):
@@ -116,7 +121,13 @@ class TestSpecialCases:
         posterior = compute_posterior(
             designs, targets, prior, 0.5, want_blocks=False
         )
-        assert posterior.sigma_blocks is None
+        for skipped in (
+            posterior.covariance_blocks,
+            lambda: posterior.mstep_lambda_stats(prior.correlation),
+            lambda: posterior.mstep_scaled_moment(prior.lambdas),
+        ):
+            with pytest.raises(NumericalError, match="want_blocks"):
+                skipped()
         # The skipped inverse leaves no trace term — asking for it is an
         # explicit error instead of a silent NaN flowing downstream.
         assert posterior.trace_dsd is None
@@ -131,6 +142,43 @@ class TestSpecialCases:
         posterior = compute_posterior(designs, targets, prior, 0.5)
         assert posterior.coef.shape == (len(designs), prior.n_basis)
         assert np.allclose(posterior.coef, posterior.mean.T)
+
+
+class TestMemoryContract:
+    def test_em_step_never_allocates_covariance_blocks(self):
+        """One dual E-step plus both M-step statistics at K = 64, two rows
+        per state and M = 200 stays far below one (M, K, K) float64 array
+        (6.6 MB): the covariance is read from C⁻¹ (n × n, n = 128)
+        through full-width products, never expanded into blocks."""
+        n_states, n_basis, n_per = 64, 200, 2
+        rng = np.random.default_rng(21)
+        designs = [
+            rng.standard_normal((n_per, n_basis)) for _ in range(n_states)
+        ]
+        targets = [rng.standard_normal(n_per) for _ in range(n_states)]
+        data = MultiStateData.from_states(designs, targets)
+        prior = CorrelatedPrior(
+            lambdas=rng.uniform(0.05, 2.0, n_basis),
+            correlation=ar1_correlation(n_states, 0.9),
+        )
+        tracemalloc.start()
+        try:
+            posterior = compute_posterior(
+                data, prior=prior, noise_var=0.1, method="dual"
+            )
+            quad, traces = posterior.mstep_lambda_stats(prior.correlation)
+            moment = posterior.mstep_scaled_moment(prior.lambdas)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert posterior.solver == "dual"
+        assert quad.shape == traces.shape == (n_basis,)
+        assert moment.shape == (n_states, n_states)
+        tensor = 8 * n_basis * n_states**2
+        assert peak < tensor / 2, (
+            f"peak {peak} bytes is within reach of the (M, K, K) blocks "
+            f"({tensor} bytes)"
+        )
 
 
 class TestValidation:

@@ -1,11 +1,12 @@
 """Property tests: both fast posterior paths vs the dense oracle.
 
 ``compute_posterior`` runs the cached/vectorized dual-space algebra
-(shared ``MultiStateData``, segment-sum S-tensor, trace identities);
-``compute_posterior_dense`` materializes the literal eq. 18-22 matrices.
-They must agree to tight tolerance for *every* shape — including ragged
-per-state sample counts and the column-restricted solves the EM pruning
-path issues.
+(shared ``MultiStateData``, trace identities, a covariance kept as
+``C⁻¹``); ``compute_posterior_dense`` materializes the literal eq. 18-22
+matrices. They must agree to tight tolerance for *every* shape —
+including ragged per-state sample counts and the column-restricted
+solves the EM pruning path issues — and so must the M-step statistics
+the dual path reads from ``C⁻¹`` against the oracle's literal einsums.
 
 The same oracle also pins the second production fast path: the
 Kronecker solver for state-balanced designs (``method="kron"``), again
@@ -51,10 +52,11 @@ def assert_posteriors_match(fast, dense, rtol=RTOL):
     np.testing.assert_allclose(
         fast.mean, dense.mean, rtol=rtol, atol=rtol * mean_scale
     )
-    block_scale = float(np.abs(dense.sigma_blocks).max(initial=1e-12))
+    dense_blocks = dense.covariance_blocks()
+    block_scale = float(np.abs(dense_blocks).max(initial=1e-12))
     np.testing.assert_allclose(
-        fast.sigma_blocks,
-        dense.sigma_blocks,
+        fast.covariance_blocks(),
+        dense_blocks,
         rtol=rtol,
         atol=rtol * block_scale,
     )
@@ -135,6 +137,82 @@ def test_fast_matches_dense_with_pruned_columns(
     assert_posteriors_match(fast, dense)
 
 
+def assert_mstep_matches_dense(fast, dense, correlation, scale, rtol):
+    """Both M-step statistics of ``fast`` against the oracle's literal
+    einsums, entry-wise rtol plus an atol tied to each statistic's own
+    scale (as in :func:`assert_posteriors_match`)."""
+    pairs = list(
+        zip(
+            fast.mstep_lambda_stats(correlation),
+            dense.mstep_lambda_stats(correlation),
+        )
+    )
+    pairs.append(
+        (fast.mstep_scaled_moment(scale), dense.mstep_scaled_moment(scale))
+    )
+    for name, (got, want) in zip(("quad", "traces", "moment"), pairs):
+        np.testing.assert_allclose(
+            got,
+            want,
+            rtol=rtol,
+            atol=rtol * float(np.abs(want).max(initial=1e-12)),
+            err_msg=name,
+        )
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    seed=st.integers(0, 10_000),
+    n_states=st.integers(1, 5),
+    n_basis=st.integers(1, 8),
+    base_count=st.integers(1, 5),
+    ragged=st.booleans(),
+    r0=st.floats(0.0, 0.95),
+    noise_var=st.floats(1e-3, 2.0),
+    zero_lambda=st.booleans(),
+    pruned=st.booleans(),
+)
+def test_dual_mstep_stats_match_dense(
+    seed, n_states, n_basis, base_count, ragged, r0, noise_var,
+    zero_lambda, pruned,
+):
+    """The dual path's factored M-step statistics — ``Tr(R⁻¹Σ^m)`` and
+    ``Σ_m Σ^m/ℓ_m`` read from C⁻¹ through full-width products — equal
+    the literal einsums over the oracle's blocks, at K = 1, single-row
+    states, λ_m = 0 and on pruned-column solves."""
+    counts = [
+        base_count + (k % 3 if ragged else 0) for k in range(n_states)
+    ]
+    designs, targets, prior = make_problem(
+        seed, n_states, n_basis, counts, r0, noise_var
+    )
+    rng = np.random.default_rng(seed + 1)
+    lambdas = prior.lambdas.copy()
+    if zero_lambda:
+        lambdas[rng.integers(n_basis)] = 0.0
+    active = np.arange(n_basis)
+    if pruned:
+        n_active = int(rng.integers(1, n_basis + 1))
+        active = np.sort(rng.choice(n_basis, size=n_active, replace=False))
+    sub_prior = CorrelatedPrior(
+        lambdas=lambdas[active], correlation=prior.correlation
+    )
+    fast = compute_posterior(
+        MultiStateData.from_states(designs, targets).restrict(active),
+        prior=sub_prior,
+        noise_var=noise_var,
+        method="dual",
+    )
+    assert fast.solver == "dual"
+    dense = compute_posterior_dense(
+        [d[:, active] for d in designs], targets, sub_prior, noise_var
+    )
+    scale = rng.uniform(0.05, 2.0, active.size)
+    assert_mstep_matches_dense(
+        fast, dense, sub_prior.correlation, scale, rtol=1e-8
+    )
+
+
 @settings(max_examples=20, deadline=None)
 @given(
     seed=st.integers(0, 10_000),
@@ -168,10 +246,11 @@ def test_kron_matches_dense_random_balanced_shapes(
         rtol=RTOL,
         atol=RTOL * float(np.abs(dense.mean).max(initial=1e-12)),
     )
-    block_scale = float(np.abs(dense.sigma_blocks).max(initial=1e-12))
+    dense_blocks = dense.covariance_blocks()
+    block_scale = float(np.abs(dense_blocks).max(initial=1e-12))
     np.testing.assert_allclose(
         fast.covariance_blocks(),
-        dense.sigma_blocks,
+        dense_blocks,
         rtol=RTOL,
         atol=RTOL * block_scale,
     )
@@ -226,10 +305,11 @@ def test_kron_matches_dense_with_pruned_columns(
         rtol=RTOL,
         atol=RTOL * float(np.abs(dense.mean).max(initial=1e-12)),
     )
-    block_scale = float(np.abs(dense.sigma_blocks).max(initial=1e-12))
+    dense_blocks = dense.covariance_blocks()
+    block_scale = float(np.abs(dense_blocks).max(initial=1e-12))
     np.testing.assert_allclose(
         fast.covariance_blocks(),
-        dense.sigma_blocks,
+        dense_blocks,
         rtol=RTOL,
         atol=RTOL * block_scale,
     )
@@ -274,6 +354,13 @@ def test_em_with_pruning_matches_dense_per_iteration():
             # 0.05², so cond(C) grows and the dense-inverse oracle itself
             # drifts — one decade of slack keeps the check meaningful.
             assert_posteriors_match(result, dense, rtol=1e-7)
+            # Both M-step statistics, the moment at the updated λ that
+            # this iteration's R update divides by.
+            quad, traces = dense.mstep_lambda_stats(prior.correlation)
+            scale = np.maximum((quad + traces) / data.n_states, 1e-12)
+            assert_mstep_matches_dense(
+                result, dense, prior.correlation, scale, rtol=1e-7
+            )
             checked.append(data.n_basis)
         return result
 

@@ -161,6 +161,29 @@ class TestSuiteRegistry:
         assert "kron" in SUITES
 
 
+class TestBenchKron:
+    def test_timed_fits_run_the_cv_grid_inline(self, monkeypatch, tmp_path):
+        # A process pool started inside each timed fit adds the same
+        # seconds to both arms and pulls speedup_vs_dual towards 1, so
+        # every fit runs its CV grid inline even under REPRO_MAX_WORKERS.
+        import repro.core.somp_init as somp_init
+        import repro.paper
+
+        monkeypatch.setattr(repro.paper, "DEFAULT_CACHE_DIR", tmp_path)
+        monkeypatch.setenv("REPRO_MAX_WORKERS", "2")
+        requested = []
+        real_map = somp_init.parallel_map
+
+        def spy(fn, items, **kwargs):
+            requested.append(kwargs.get("max_workers"))
+            return real_map(fn, items, **kwargs)
+
+        monkeypatch.setattr(somp_init, "parallel_map", spy)
+        bench.bench_kron(repeats=1, n_points=6, n_train=4, k_curve=(4,))
+        assert len(requested) == 5
+        assert set(requested) == {1}
+
+
 class TestBenchParser:
     def parse(self, argv):
         parser = argparse.ArgumentParser()

@@ -70,6 +70,46 @@ class TestCholesky:
             atol=1e-10,
         )
 
+    @pytest.mark.parametrize(
+        "matrix",
+        [
+            *(
+                pytest.param(
+                    random_psd(np.random.default_rng(size), size),
+                    id=f"n={size}",
+                )
+                for size in (1, 2, 7, 240)
+            ),
+            pytest.param(
+                np.outer([1.0, 2.0, 3.0], [1.0, 2.0, 3.0]), id="jitter-rung"
+            ),
+        ],
+    )
+    def test_factor_and_inverse_equal_the_plain_formulas(self, matrix):
+        """The zero rung factors the matrix without adding ``0·I`` and the
+        mirror uses ``tril`` instead of fancy indexing; both give the bits
+        of the plain formulas, written out here."""
+        from scipy import linalg as sla
+
+        sym = linalg.symmetrize(matrix)
+        scale = max(float(np.trace(sym)) / sym.shape[0], 1e-300)
+        for jitter in (0.0, 1e-12, 1e-10, 1e-8, 1e-6):
+            try:
+                expected = np.linalg.cholesky(
+                    sym + (jitter * scale) * np.eye(sym.shape[0])
+                )
+                break
+            except np.linalg.LinAlgError:
+                continue
+        factor = linalg.cholesky_factor(matrix)
+        assert np.array_equal(factor, expected)
+
+        mirrored, info = sla.lapack.dpotri(factor, lower=1)
+        assert info == 0
+        upper = np.triu_indices_from(mirrored, k=1)
+        mirrored[upper] = mirrored.T[upper]
+        assert np.array_equal(linalg.inv_from_cholesky(factor), mirrored)
+
     def test_solve_psd_matches_numpy(self):
         rng = np.random.default_rng(2)
         matrix = random_psd(rng, 6)
