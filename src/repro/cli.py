@@ -145,11 +145,7 @@ def _cmd_sweep_fit(args) -> int:
     )
     elapsed = time.perf_counter() - started
     solvers = {
-        metric: getattr(
-            getattr(models.model(metric), "predictor", None),
-            "solver",
-            "dense",
-        )
+        metric: models.model(metric).predictor.solver
         for metric in models.metric_names
     }
     print(f"fit {len(models.metric_names)} metrics in {elapsed:.2f}s "

@@ -8,7 +8,9 @@ design matrices and targets, coefficients in ``coef_``) and internally runs
    metric (dB, dBm, ...);
 2. the modified S-OMP + cross-validation hyper-parameter initializer;
 3. EM refinement of ``{λ, R, σ0}`` with the MAP coefficients from the
-   final posterior.
+   final posterior, which also backs the predictive error bars
+   (:class:`~repro.core.predictive.PosteriorPredictor` reads its
+   factorization; nothing is solved after EM returns).
 
 The per-state centers are folded back into the model's intercept column
 when the basis has one (any all-ones column), otherwise kept as explicit
@@ -177,9 +179,7 @@ class CBMF(MultiStateRegressor):
         self.noise_std_ = float(np.sqrt(noise_var)) * scale
         self.center_ = grand_center
         self._scale = scale
-        self._predictor = PosteriorPredictor(
-            designs, standardized, prior, noise_var
-        )
+        self._predictor = PosteriorPredictor(posterior)
         active_threshold = self.em_config.prune_threshold or 1e-4
         self.report_ = FitReport(
             init=init,

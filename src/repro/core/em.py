@@ -28,7 +28,7 @@ Implementation notes beyond the paper:
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -113,9 +113,12 @@ def run_em(
     """Refine ``{λ, R, σ0}`` by EM and return the final posterior.
 
     Returns ``(prior, noise_var, posterior, trace)`` where ``posterior`` is
-    evaluated at the final hyper-parameters over the **full** basis set
-    (pruned bases re-enter with their frozen near-zero λ, so the returned
-    mean has shape (M, K) regardless of pruning).
+    evaluated at the final hyper-parameters over the **full** basis set,
+    with the bases pruned at those hyper-parameters held at λ = 0: the
+    returned mean has shape (M, K) regardless of pruning and is exactly
+    zero on pruned bases, and the posterior conditions on the active set
+    the mean came from. It keeps its factorization (``want_blocks=False``)
+    for :class:`repro.core.predictive.PosteriorPredictor`.
     """
     designs, targets = validate_multistate(designs, targets)
     config = config or EmConfig()
@@ -217,17 +220,13 @@ def _full_posterior(
     noise_var: float,
     config: EmConfig,
 ) -> PosteriorResult:
-    """Final MAP solve with the mean expanded back to the full basis set."""
+    """Final MAP solve on the full basis set, pruned bases at λ = 0."""
     active = _active_set(prior.lambdas, config.prune_threshold)
-    sub_prior = CorrelatedPrior(
-        lambdas=prior.lambdas[active], correlation=prior.correlation
-    )
-    sub = compute_posterior(
-        data.restrict(active),
-        prior=sub_prior,
+    lambdas = np.zeros_like(prior.lambdas)
+    lambdas[active] = prior.lambdas[active]
+    return compute_posterior(
+        data,
+        prior=CorrelatedPrior(lambdas=lambdas, correlation=prior.correlation),
         noise_var=noise_var,
         want_blocks=False,
     )
-    mean = np.zeros((data.n_basis, sub.mean.shape[1]))
-    mean[active] = sub.mean
-    return replace(sub, mean=mean)

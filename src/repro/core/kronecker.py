@@ -32,8 +32,13 @@ what turns "32 knob settings" into 201-point frequency sweeps.
 
 The (M, K, K) covariance blocks are **never materialized** here (and
 neither is the MK × MK prior ``A``): :class:`KroneckerFactors` carries
-``(Q, ω, V)`` with ``V[m, j] = Σ̃_j[m, m]`` — enough for every M-step
-statistic — and reconstructs dense blocks only on explicit request.
+``(Q, ω, P, γ)`` — what the predictor reads, kept on every solve — and,
+when the covariance pass ran, ``V[m, j] = Σ̃_j[m, m]``, enough for every
+M-step statistic; dense blocks are built only on explicit request.
+
+:func:`choose_solver` is the one rule that picks between this path and
+the dual one: ``compute_posterior(method="auto")`` and the S-OMP greedy
+scan call it, and a predictor reports the path its posterior took.
 """
 
 from __future__ import annotations
@@ -55,9 +60,8 @@ __all__ = [
     "KRON_MIN_STATES",
     "KroneckerFactors",
     "check_solved_correlation",
+    "choose_solver",
     "compute_posterior_kron",
-    "kron_applicable",
-    "resolve_solver_mode",
 ]
 
 #: Minimum state count before the auto-dispatch considers the Kronecker
@@ -70,15 +74,27 @@ KRON_MIN_STATES = 24
 _MODES = ("auto", "dual", "kron")
 
 
-def resolve_solver_mode() -> str:
-    """Posterior solver selection policy: ``REPRO_POSTERIOR_SOLVER``.
+def choose_solver(data: MultiStateData) -> str:
+    """The posterior path for ``data``: ``"kron"`` or ``"dual"``.
 
-    ``auto`` (default) picks the Kronecker path for state-balanced data
-    with at least :data:`KRON_MIN_STATES` states when the flop estimate
-    favours it; ``dual`` disables the Kronecker path everywhere (the
-    benchmark's baseline arm); ``kron`` forces it whenever the data is
-    structurally eligible (balanced), regardless of size.
+    Under the default ``REPRO_POSTERIOR_SOLVER=auto`` the Kronecker path
+    needs state-balanced data, at least :data:`KRON_MIN_STATES` states
+    and a flop estimate in its favour; ``dual`` disables it everywhere
+    (the benchmark's baseline arm); ``kron`` takes it whenever the data
+    is balanced, regardless of size. ``compute_posterior(method="auto")``
+    and the S-OMP greedy scan both decide here.
     """
+    mode = _solver_policy()
+    if mode == "kron":
+        kron = data.state_balanced
+    else:
+        kron = mode == "auto" and _kron_cheaper(data)
+    return "kron" if kron else "dual"
+
+
+def _solver_policy() -> str:
+    """``REPRO_POSTERIOR_SOLVER``, validated; read by :func:`choose_solver`
+    alone."""
     mode = os.environ.get("REPRO_POSTERIOR_SOLVER", "auto").strip().lower()
     if mode not in _MODES:
         raise ValueError(
@@ -87,34 +103,19 @@ def resolve_solver_mode() -> str:
     return mode
 
 
-def _kron_flops(n_per: int, n_states: int, n_basis: int) -> float:
-    """Rough flop count of one Kronecker posterior solve."""
-    m, k = float(n_basis), float(n_states)
-    return k**3 + m**3 + n_per * m**2 + m * k * (m + k)
-
-
-def _dual_flops(n_rows: int, n_basis: int) -> float:
-    """Rough flop count of one dual-space posterior solve with blocks."""
-    n = float(n_rows)
-    return n**3 / 3.0 + n**2 * n_basis
-
-
-def kron_applicable(
-    data: MultiStateData, *, min_states: int = KRON_MIN_STATES
-) -> bool:
-    """Should the auto-dispatch route this solve through the Kronecker path?
-
-    Requires structural eligibility (state-balanced, ≥ ``min_states``
-    states) *and* a favourable cost estimate — a 1264-basis LNA fit at
-    K = 32 is balanced-eligible but dominated by the M³ eigendecomposition,
-    so it stays on the dual path.
-    """
-    if data.n_states < min_states or not data.state_balanced:
+def _kron_cheaper(data: MultiStateData) -> bool:
+    """Balanced, ≥ :data:`KRON_MIN_STATES` states, and a flop estimate
+    that favours the rotation — a 1264-basis LNA fit at K = 32 is
+    balanced but dominated by the M³ eigendecomposition, so it stays on
+    the dual path."""
+    if data.n_states < KRON_MIN_STATES or not data.state_balanced:
         return False
     n_per = data.n_rows // data.n_states
-    return _kron_flops(n_per, data.n_states, data.n_basis) < _dual_flops(
-        data.n_rows, data.n_basis
-    )
+    m, k = float(data.n_basis), float(data.n_states)
+    kron_flops = k**3 + m**3 + n_per * m**2 + m * k * (m + k)
+    n = float(data.n_rows)
+    dual_flops = n**3 / 3.0 + n**2 * m
+    return kron_flops < dual_flops
 
 
 def _psd_eigh(matrix: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
@@ -147,9 +148,13 @@ class KroneckerFactors:
 
     Attributes
     ----------
+    data:
+        The (balanced) data the solve ran on.
     q, omega:
         Eigenvectors/eigenvalues of the correlation matrix R the solve
         ran at (``R = Q·diag(ω)·Qᵀ``).
+    p, gamma:
+        Eigenvectors/eigenvalues of ``G̃ = √Λ·BᵀB·√Λ`` (M × M, M).
     correlation:
         The R itself, kept so M-step consumers can verify they pass the
         same matrix the posterior was solved at.
@@ -157,16 +162,20 @@ class KroneckerFactors:
         Rotated posterior mean ``μ̃ = mean · Q`` (M × K).
     vdiag:
         ``V[m, j] = Σ̃_j[m, m]`` (M × K) — the complete description of
-        the per-basis covariance blocks.
+        the per-basis covariance blocks; ``None`` when the solve skipped
+        the covariance pass (``want_blocks=False``).
     lambdas, noise_var:
         The prior scales and σ0² of the solve (for the λ M-step).
     """
 
+    data: MultiStateData
     q: np.ndarray
     omega: np.ndarray
+    p: np.ndarray
+    gamma: np.ndarray
     correlation: np.ndarray
     mean_rot: np.ndarray
-    vdiag: np.ndarray
+    vdiag: Optional[np.ndarray]
     lambdas: np.ndarray
     noise_var: float
 
@@ -276,7 +285,7 @@ def compute_posterior_kron(
     )
     nll = residual_sq / noise_var + quad_prior + log_det
 
-    factors = None
+    vdiag: Optional[np.ndarray] = None
     trace_dsd: Optional[float] = None
     if want_blocks:
         inv_denom = 1.0 / denom
@@ -287,15 +296,18 @@ def compute_posterior_kron(
             * omega[None, :]
         )
         trace_dsd = float(np.sum((gamma[:, None] * inv_denom) * omega))
-        factors = KroneckerFactors(
-            q=q_matrix,
-            omega=omega,
-            correlation=correlation,
-            mean_rot=mean_rot,
-            vdiag=vdiag,
-            lambdas=lambdas,
-            noise_var=noise_var,
-        )
+    factors = KroneckerFactors(
+        data=data,
+        q=q_matrix,
+        omega=omega,
+        p=p_matrix,
+        gamma=gamma,
+        correlation=correlation,
+        mean_rot=mean_rot,
+        vdiag=vdiag,
+        lambdas=lambdas,
+        noise_var=noise_var,
+    )
     return PosteriorResult(
         mean=mean,
         residual_sq=residual_sq,

@@ -27,8 +27,9 @@ through one ``n × n × M`` product each):
     Tr(D Σ_p Dᵀ)  = σ0²·(n − σ0²·Tr(C⁻¹))
 
 so the dual path returns its covariance factored (:class:`DualFactors`:
-``C⁻¹`` and the ``(λ, R)`` of the solve) and the whole algorithm runs in
-``O(n²·M + n³)`` per iteration with no ``(M, K, K)`` array.
+the Cholesky factor of ``C``, ``C⁻¹`` and the ``(λ, R)`` of the solve) and
+the whole algorithm runs in ``O(n²·M + n³)`` per iteration with no
+``(M, K, K)`` array.
 ``compute_posterior_dense`` keeps the literal textbook formulas, blocks
 and einsums included, as a cross-check oracle for tests.
 
@@ -37,7 +38,12 @@ e.g. a swept-frequency dataset) a second fast path exists: the Kronecker
 solver of :mod:`repro.core.kronecker`, which decouples the posterior into
 K independent M-dimensional solves along the eigenvectors of R and scales
 near-linearly in K. :func:`compute_posterior` auto-selects between the
-two (``method="auto"``); both are validated against the dense oracle.
+two (``method="auto"``, through
+:func:`repro.core.kronecker.choose_solver`); both are validated against
+the dense oracle. Either path keeps its factorization of the posterior
+(the Cholesky factor of ``C``, or ``(Q, ω, P, γ)``) on every solve, so
+:class:`repro.core.predictive.PosteriorPredictor` is built from a
+finished solve without factoring anything again.
 """
 
 from __future__ import annotations
@@ -52,9 +58,8 @@ from repro.core.base import validate_multistate
 from repro.core.kronecker import (
     KroneckerFactors,
     check_solved_correlation,
+    choose_solver,
     compute_posterior_kron,
-    kron_applicable,
-    resolve_solver_mode,
 )
 from repro.core.multistate import MultiStateData
 from repro.core.prior import CorrelatedPrior
@@ -82,8 +87,11 @@ class DualFactors:
     ----------
     data:
         The (possibly column-restricted) data the solve ran on.
+    factor:
+        The lower Cholesky factor of ``C``, shape (n, n).
     c_inv:
-        ``C⁻¹``, shape (n, n).
+        ``C⁻¹``, shape (n, n); ``None`` when the solve skipped the
+        covariance pass (``want_blocks=False``).
     r_rows:
         ``R[s, s]``, shape (n, n) — the expansion the solve built ``C``
         from.
@@ -94,7 +102,8 @@ class DualFactors:
     """
 
     data: MultiStateData
-    c_inv: np.ndarray
+    factor: np.ndarray
+    c_inv: Optional[np.ndarray]
     r_rows: np.ndarray
     correlation: np.ndarray
     lambdas: np.ndarray
@@ -222,10 +231,13 @@ class PosteriorResult:
     factors:
         The posterior covariance in the solver's own representation
         (:class:`DualFactors`, :class:`repro.core.kronecker.KroneckerFactors`
-        or the oracle's :class:`DenseBlocks`); ``None`` when the solve
-        skipped the covariance pass (``want_blocks=False``). Consumers go
-        through :meth:`mstep_lambda_stats`, :meth:`mstep_scaled_moment`
-        and :meth:`covariance_blocks`.
+        or the oracle's :class:`DenseBlocks`). Always present: the
+        factorization of the solve is kept even when the covariance pass
+        was skipped (``want_blocks=False``), and
+        :class:`repro.core.predictive.PosteriorPredictor` reads it. The
+        M-step goes through :meth:`mstep_lambda_stats`,
+        :meth:`mstep_scaled_moment` and :meth:`covariance_blocks`, which
+        need the covariance pass.
     """
 
     mean: np.ndarray
@@ -234,7 +246,7 @@ class PosteriorResult:
     nll: float
     noise_var: float
     solver: str
-    factors: Optional[CovarianceFactors] = None
+    factors: CovarianceFactors
 
     @property
     def coef(self) -> np.ndarray:
@@ -245,7 +257,9 @@ class PosteriorResult:
     # representation-agnostic covariance consumers
     # ------------------------------------------------------------------
     def _require_factors(self) -> CovarianceFactors:
-        if self.factors is None:
+        # Every solve sets trace_dsd exactly when it ran the covariance
+        # pass (C⁻¹, V or the oracle's blocks).
+        if self.trace_dsd is None:
             raise NumericalError(
                 "posterior covariance was not computed (solved with "
                 "want_blocks=False); re-solve with want_blocks=True"
@@ -330,16 +344,15 @@ def compute_posterior(
         Observation noise variance σ0² (> 0).
     want_blocks:
         Skip the covariance pass (``C⁻¹`` on the dual path, the variance
-        grid on the Kronecker path) when only the MAP mean and the
-        marginal likelihood are needed (e.g. pure prediction); the
-        result then carries no ``factors`` and no ``trace_dsd``.
+        grid on the Kronecker path) when only the MAP mean, the marginal
+        likelihood and the factorization are needed (e.g. to build a
+        predictor); the result then has no ``trace_dsd`` and its M-step
+        statistics raise :class:`NumericalError`.
     method:
-        ``"auto"`` (default) — dual-space solve, except state-balanced
-        data with ≥ :data:`repro.core.kronecker.KRON_MIN_STATES` states
-        and a favourable flop estimate takes the Kronecker path (the
-        ``REPRO_POSTERIOR_SOLVER`` environment variable overrides the
-        policy); ``"dual"``/``"kron"`` force one path explicitly —
-        ``"kron"`` raises :class:`ValueError` on unbalanced data.
+        ``"auto"`` (default) — the path
+        :func:`repro.core.kronecker.choose_solver` picks for this data;
+        ``"dual"``/``"kron"`` force one path explicitly — ``"kron"``
+        raises :class:`ValueError` on unbalanced data.
     """
     if isinstance(designs, MultiStateData):
         if targets is not None:
@@ -366,18 +379,12 @@ def compute_posterior(
         raise ValueError(
             f"method must be 'auto', 'dual' or 'kron', got {method!r}"
         )
+    if method == "auto":
+        method = choose_solver(data)
     if method == "kron":
         return compute_posterior_kron(
             data, prior, noise_var, want_blocks=want_blocks
         )
-    if method == "auto":
-        mode = resolve_solver_mode()
-        if (mode == "kron" and data.state_balanced) or (
-            mode == "auto" and kron_applicable(data)
-        ):
-            return compute_posterior_kron(
-                data, prior, noise_var, want_blocks=want_blocks
-            )
 
     lambdas = prior.lambdas
     correlation = prior.correlation
@@ -403,7 +410,7 @@ def compute_posterior(
     log_det = 2.0 * float(np.sum(np.log(np.diag(factor))))
     nll = float(y @ v) + log_det
 
-    factors = None
+    c_inv: Optional[np.ndarray] = None
     trace_dsd: Optional[float] = None
     if want_blocks:
         c_inv = inv_from_cholesky(factor)
@@ -412,14 +419,15 @@ def compute_posterior(
         trace_dsd = noise_var * (
             n_rows - noise_var * float(np.trace(c_inv))
         )
-        factors = DualFactors(
-            data=data,
-            c_inv=c_inv,
-            r_rows=r_rows,
-            correlation=correlation,
-            lambdas=lambdas,
-            mean=mean,
-        )
+    factors = DualFactors(
+        data=data,
+        factor=factor,
+        c_inv=c_inv,
+        r_rows=r_rows,
+        correlation=correlation,
+        lambdas=lambdas,
+        mean=mean,
+    )
 
     return PosteriorResult(
         mean=mean,

@@ -25,13 +25,14 @@ Performance notes (beyond the paper):
 * The ``fold × r0 × σ0`` cross-validation cells are independent and run
   through :func:`repro.utils.parallel.parallel_map` — bit-identical for
   any worker count, serial by default (``REPRO_MAX_WORKERS`` overrides).
-* State-balanced data (every state fitted on the same design, e.g. the
-  swept-frequency datasets) uses :class:`KroneckerBayesSolver` instead:
-  the dual kernel is Kronecker, so each greedy step is a p-dimensional
-  eigensolve instead of an n×n Woodbury update (n = N·K). The CV folds
-  then share one permutation across states, which keeps every train
-  split state-balanced (and keeps any Monte-Carlo draw out of the train
-  and test sides simultaneously).
+* Data the posterior would solve on the Kronecker path
+  (:func:`repro.core.kronecker.choose_solver`, decided once per fit on
+  the full data) uses :class:`KroneckerBayesSolver` instead: the dual
+  kernel is Kronecker, so each greedy step is a p-dimensional eigensolve
+  instead of an n×n Woodbury update (n = N·K). The CV folds then share
+  one permutation across states, which keeps every train split
+  state-balanced (and keeps any Monte-Carlo draw out of the train and
+  test sides simultaneously).
 """
 
 from __future__ import annotations
@@ -45,11 +46,7 @@ from scipy import linalg as sla
 
 from repro.core.base import validate_multistate
 from repro.core.greedy import select_shared_support
-from repro.core.kronecker import (
-    KRON_MIN_STATES,
-    _psd_eigh,
-    resolve_solver_mode,
-)
+from repro.core.kronecker import _psd_eigh, choose_solver
 from repro.core.multistate import MultiStateData
 from repro.core.prior import CorrelatedPrior, ar1_correlation
 from repro.utils.parallel import parallel_map
@@ -178,23 +175,6 @@ class IncrementalBayesSolver:
         w_matrix = data.segment_sum(columns * v[:, None])  # (K, p)
         return w_matrix.T @ self._correlation
 
-    def __call__(
-        self,
-        sub_designs: List[np.ndarray],
-        targets: List[np.ndarray],
-    ) -> np.ndarray:
-        """One-shot solve on explicit columns (plain-callback compat)."""
-        from repro.core.posterior import compute_posterior
-
-        prior = CorrelatedPrior(
-            lambdas=np.ones(sub_designs[0].shape[1]),
-            correlation=ar1_correlation(len(sub_designs), self.r0),
-        )
-        posterior = compute_posterior(
-            sub_designs, targets, prior, self.sigma0**2, want_blocks=False
-        )
-        return posterior.mean
-
 
 class KroneckerBayesSolver:
     """Correlated Bayesian greedy solver for state-balanced data (step 9).
@@ -228,7 +208,7 @@ class KroneckerBayesSolver:
         """Rotate the targets into R's eigenbasis; reset the support.
 
         Raises :class:`ValueError` when the states do not share one
-        design matrix — callers gate on balance (``_kron_greedy``).
+        design matrix — callers gate on :func:`choose_solver`.
         """
         data = (
             designs
@@ -257,40 +237,6 @@ class KroneckerBayesSolver:
             self._omega[None, :] / self.sigma0**2
         )
         return mean_rot @ self._q.T
-
-    def __call__(
-        self,
-        sub_designs: List[np.ndarray],
-        targets: List[np.ndarray],
-    ) -> np.ndarray:
-        """One-shot solve on explicit columns (plain-callback compat)."""
-        from repro.core.posterior import compute_posterior
-
-        prior = CorrelatedPrior(
-            lambdas=np.ones(sub_designs[0].shape[1]),
-            correlation=ar1_correlation(len(sub_designs), self.r0),
-        )
-        posterior = compute_posterior(
-            sub_designs, targets, prior, self.sigma0**2, want_blocks=False
-        )
-        return posterior.mean
-
-
-def _kron_greedy(data: MultiStateData) -> bool:
-    """Does this fit's greedy scan take the Kronecker solver?
-
-    Decided once per fit on the full data, by the same policy switches
-    as the posterior: ``REPRO_POSTERIOR_SOLVER=dual`` forces the Woodbury
-    solver everywhere, ``kron`` forces the Kronecker solver whenever the
-    data is balanced. The CV folds of such data share one permutation,
-    so every train split stays balanced by construction.
-    """
-    mode = resolve_solver_mode()
-    return (
-        mode != "dual"
-        and (mode == "kron" or data.n_states >= KRON_MIN_STATES)
-        and data.state_balanced
-    )
 
 
 def _fold_indices(
@@ -376,7 +322,7 @@ def somp_initialize(
     # Kronecker-solver eligibility) and a shared Monte-Carlo draw never
     # lands in the train rows of one state and the test rows of another.
     data = MultiStateData.from_states(designs, targets, validate=False)
-    kron = _kron_greedy(data)
+    kron = choose_solver(data) == "kron"
     solver = KroneckerBayesSolver if kron else IncrementalBayesSolver
     if kron:
         shared_folds = _fold_indices(

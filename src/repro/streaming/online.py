@@ -21,8 +21,8 @@ What stays frozen between refits:
 
 What an absorb updates:
 
-* the dual-space factor/weights (posterior over all MK coefficients);
-* the MAP coefficient matrix :attr:`coef_` (recomputed in O(n·M));
+* the dual-space factor and the posterior mean over all MK coefficients;
+* the MAP coefficient matrix :attr:`coef_` (read from that mean);
 * the predictive mean/std at every query point.
 
 When the incoming data drifts away from the frozen hyper-parameters
@@ -204,24 +204,13 @@ class OnlineCBMF:
     def coef_(self) -> np.ndarray:
         """Current MAP coefficients (K, M) in original target units.
 
-        Recomputed lazily from the dual weights in O(n·M + M·K²); the
-        grand center is folded into the intercept column when the basis
-        has one (matching :class:`CBMF`), otherwise carried in
-        :attr:`offsets_`.
+        The predictor's posterior mean, rescaled; the grand center is
+        folded into the intercept column when the basis has one (matching
+        :class:`CBMF`), otherwise carried in :attr:`offsets_`.
         """
         if self._coef_cache is None:
-            prior = self._predictor.prior
-            phi, _, state_of_row = self._predictor.training_rows()
-            alpha = self._predictor.dual_weights
-            # W[k, m] = Σ_{i ∈ k} Φ[i, m]·α_i  →  μ^m = λ_m · R · W[:, m]
-            w_matrix = np.zeros((prior.n_states, prior.n_basis))
-            np.add.at(w_matrix, state_of_row, phi * alpha[:, None])
-            mean = prior.lambdas[:, None] * (
-                w_matrix.T @ prior.correlation
-            )  # (M, K)
-            coef = mean.T * self._scale
+            coef = self._predictor.mean.T * self._scale
             if self._intercept is not None:
-                coef = coef.copy()
                 coef[:, self._intercept] += self._center
             self._coef_cache = coef
         return self._coef_cache

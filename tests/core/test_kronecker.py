@@ -24,9 +24,9 @@ from hypothesis import given, settings, strategies as st
 
 from repro.core.kronecker import (
     KRON_MIN_STATES,
+    _kron_cheaper as kron_applicable,
+    _solver_policy as resolve_solver_mode,
     compute_posterior_kron,
-    kron_applicable,
-    resolve_solver_mode,
 )
 from repro.core.multistate import MultiStateData
 from repro.core.posterior import (
@@ -361,6 +361,53 @@ class TestDispatchPolicy:
         )
         assert data.state_balanced
         assert not kron_applicable(data)
+
+
+class TestOneSolverRule:
+    @pytest.mark.parametrize(
+        "n_basis, n_per, expected",
+        [(600, 3, "dual"), (4, 5, "kron")],
+    )
+    def test_greedy_scan_posterior_and_predictor_agree(
+        self, monkeypatch, n_basis, n_per, expected
+    ):
+        """One rule for all three: at K = 24, N = 3, M = 600 the flop
+        estimate keeps balanced data on the dual path everywhere, and a
+        small balanced basis takes the Kronecker path everywhere."""
+        import repro.core.somp_init as somp_init
+        from repro.core.predictive import PosteriorPredictor
+
+        monkeypatch.delenv("REPRO_POSTERIOR_SOLVER", raising=False)
+        noise_var = 0.1
+        designs, targets, prior = make_balanced(
+            4, KRON_MIN_STATES, n_basis, n_per, 0.9, noise_var
+        )
+        scans = []
+        real_scan = somp_init.select_shared_support
+
+        def scan(data, targets_, n_select, solver, **kwargs):
+            scans.append(type(solver))
+            return real_scan(data, targets_, n_select, solver, **kwargs)
+
+        monkeypatch.setattr(somp_init, "select_shared_support", scan)
+        somp_init.somp_initialize(
+            designs,
+            targets,
+            somp_init.InitConfig(
+                r0_grid=(0.9,), sigma0_grid=(0.3,), n_basis_grid=(2,),
+                n_folds=2,
+            ),
+            seed=0,
+        )
+        greedy = {
+            IncrementalBayesSolver: "dual",
+            KroneckerBayesSolver: "kron",
+        }
+        assert {greedy[kind] for kind in scans} == {expected}
+        posterior = compute_posterior(designs, targets, prior, noise_var)
+        assert posterior.solver == expected
+        predictor = PosteriorPredictor(designs, targets, prior, noise_var)
+        assert predictor.solver == expected
 
 
 class TestMemoryContract:

@@ -201,49 +201,157 @@ class TestAugmented:
 
 
 class TestAgainstDenseCovariance:
-    def test_variance_matches_dense_posterior(self):
+    def test_variance_matches_dense_posterior(self, monkeypatch):
         """Predictive latent variance equals φᵀ Σ_full^{(k)} φ with the
-        full (cross-basis) dense posterior covariance — the oracle the
-        dual-space shortcut must agree with."""
+        full (cross-basis) dense posterior covariance — the oracle both
+        the dual-space shortcut and the Kronecker rotated frame must
+        agree with, on unbalanced data, on balanced data and on
+        balanced data with a λ_m = 0 basis."""
         from repro.core.posterior import compute_posterior_dense
 
         rng = np.random.default_rng(11)
         n_states, n_basis, n = 3, 4, 6
-        designs = [rng.standard_normal((n, n_basis)) for _ in range(n_states)]
-        targets = [rng.standard_normal(n) for _ in range(n_states)]
-        prior = CorrelatedPrior(
-            rng.uniform(0.3, 1.2, n_basis), ar1_correlation(n_states, 0.6)
-        )
-        noise = 0.25
+        for layout, solver in [
+            ("unbalanced", "dual"),
+            ("balanced", "kron"),
+            ("balanced-zero-lambda", "kron"),
+        ]:
+            if layout == "unbalanced":
+                designs = [
+                    rng.standard_normal((n, n_basis))
+                    for _ in range(n_states)
+                ]
+            else:
+                designs = [rng.standard_normal((n, n_basis))] * n_states
+            targets = [rng.standard_normal(n) for _ in range(n_states)]
+            lambdas = rng.uniform(0.3, 1.2, n_basis)
+            if layout == "balanced-zero-lambda":
+                lambdas[1] = 0.0
+            prior = CorrelatedPrior(lambdas, ar1_correlation(n_states, 0.6))
+            noise = 0.25
 
-        # Dense full covariance: rebuild Σ_p over the (m, k) layout.
-        dense = compute_posterior_dense(designs, targets, prior, noise)
-        # Σ_p rebuilt entry-wise from the dense computation internals.
-        from repro.core.posterior import _stack
+            # Dense full covariance: rebuild Σ_p over the (m, k) layout.
+            dense = compute_posterior_dense(designs, targets, prior, noise)
+            # Σ_p rebuilt entry-wise from the dense computation internals.
+            from repro.core.posterior import _stack
 
-        phi, y, state_of_row = _stack(designs, targets)
-        d_matrix = np.zeros((phi.shape[0], n_basis * n_states))
-        for i in range(phi.shape[0]):
-            for m in range(n_basis):
-                d_matrix[i, m * n_states + state_of_row[i]] = phi[i, m]
-        a_matrix = prior.full_covariance()
-        c_inv = np.linalg.inv(
-            noise * np.eye(phi.shape[0]) + d_matrix @ a_matrix @ d_matrix.T
-        )
-        ad_t = a_matrix @ d_matrix.T
-        sigma_full = a_matrix - ad_t @ c_inv @ ad_t.T
-
-        predictor = PosteriorPredictor(designs, targets, prior, noise)
-        query = rng.standard_normal((5, n_basis))
-        for state in range(n_states):
-            # State-k coefficient covariance: rows/cols (m, state).
-            idx = [m * n_states + state for m in range(n_basis)]
-            cov_k = sigma_full[np.ix_(idx, idx)]
-            expected = np.sqrt(
-                np.maximum(np.einsum("qi,ij,qj->q", query, cov_k, query), 0)
+            phi, y, state_of_row = _stack(designs, targets)
+            d_matrix = np.zeros((phi.shape[0], n_basis * n_states))
+            for i in range(phi.shape[0]):
+                for m in range(n_basis):
+                    d_matrix[i, m * n_states + state_of_row[i]] = phi[i, m]
+            a_matrix = prior.full_covariance()
+            c_inv = np.linalg.inv(
+                noise * np.eye(phi.shape[0])
+                + d_matrix @ a_matrix @ d_matrix.T
             )
-            via_dual = predictor.predict_std(query, state)
-            assert np.allclose(via_dual, expected, atol=1e-8)
+            ad_t = a_matrix @ d_matrix.T
+            sigma_full = a_matrix - ad_t @ c_inv @ ad_t.T
+
+            monkeypatch.setenv("REPRO_POSTERIOR_SOLVER", solver)
+            predictor = PosteriorPredictor(designs, targets, prior, noise)
+            assert predictor.solver == solver, layout
+            query = rng.standard_normal((5, n_basis))
+            for state in range(n_states):
+                # State-k coefficient covariance: rows/cols (m, state).
+                idx = [m * n_states + state for m in range(n_basis)]
+                cov_k = sigma_full[np.ix_(idx, idx)]
+                expected = np.sqrt(
+                    np.maximum(
+                        np.einsum("qi,ij,qj->q", query, cov_k, query), 0
+                    )
+                )
+                via_predictor = predictor.predict_std(query, state)
+                assert np.allclose(via_predictor, expected, atol=1e-8), layout
+                np.testing.assert_allclose(
+                    predictor.predict_mean(query, state),
+                    query @ dense.mean[:, state],
+                    rtol=1e-9,
+                    atol=1e-11,
+                    err_msg=layout,
+                )
+
+
+class TestOnePosteriorPerFit:
+    """``CBMF.fit`` builds its predictor from EM's final solve."""
+
+    @pytest.mark.parametrize("prune_threshold", [0.0, 1e-3])
+    def test_predictor_mean_is_the_model_prediction(self, prune_threshold):
+        """The predictor conditions on the posterior the coefficients
+        came from — also on a pruned fit, whose pruned bases it holds at
+        λ = 0."""
+        problem = make_synthetic(seed=0)
+        designs, targets = problem.sample(15)
+        model = CBMF(
+            init_config=FAST_INIT,
+            em_config=EmConfig(
+                max_iterations=30, prune_threshold=prune_threshold
+            ),
+            seed=0,
+        ).fit(designs, targets)
+        if prune_threshold:
+            assert min(model.report_.em.active_history) < problem.n_basis
+        query, _ = problem.sample(20)
+        for k in range(problem.n_states):
+            expected = model.predict(query[k], k)
+            got = (
+                model.predictor.predict_mean(query[k], k) * model.scale_
+                + model.center_
+            )
+            scale = np.max(np.abs(expected))
+            np.testing.assert_allclose(got, expected, rtol=0, atol=1e-12 * scale)
+
+    @pytest.mark.parametrize("solver", ["dual", "kron"])
+    def test_fit_solves_nothing_after_em(self, monkeypatch, solver):
+        """No Cholesky factorization and no eigendecomposition runs once
+        ``run_em`` has returned: the predictor reads EM's final solve."""
+        import repro.core.cbmf as cbmf_module
+        import repro.core.kronecker as kronecker_module
+        import repro.core.posterior as posterior_module
+        import repro.core.predictive as predictive_module
+
+        calls = {"em": 0, "after": 0}
+        em_done = []
+        real_run_em = cbmf_module.run_em
+
+        def run_em(*args, **kwargs):
+            result = real_run_em(*args, **kwargs)
+            em_done.append(True)
+            return result
+
+        monkeypatch.setattr(cbmf_module, "run_em", run_em)
+        for module in (
+            kronecker_module, posterior_module, predictive_module
+        ):
+            for name in ("cholesky_factor", "_psd_eigh"):
+                if not hasattr(module, name):
+                    continue
+
+                def counted(*args, _real=getattr(module, name), **kwargs):
+                    calls["after" if em_done else "em"] += 1
+                    return _real(*args, **kwargs)
+
+                monkeypatch.setattr(module, name, counted)
+
+        if solver == "dual":
+            designs, targets = make_synthetic(seed=0).sample(15)
+        else:
+            from repro.core.kronecker import KRON_MIN_STATES
+
+            rng = np.random.default_rng(53)
+            shared = rng.standard_normal((12, 5))
+            designs = [shared] * KRON_MIN_STATES
+            targets = [
+                shared @ rng.standard_normal(5)
+                + 0.05 * rng.standard_normal(12)
+                for _ in range(KRON_MIN_STATES)
+            ]
+        model = CBMF(init_config=FAST_INIT, em_config=FAST_EM, seed=0).fit(
+            designs, targets
+        )
+        assert model.predictor.solver == solver
+        assert calls["em"] > 0  # the spies see EM's own solves
+        assert calls["after"] == 0
 
 
 class TestCbmfPredictStd:

@@ -1,10 +1,10 @@
-"""PosteriorPredictor's Kronecker mode vs the dense kernel factorization.
+"""PosteriorPredictor on a Kronecker solve vs on a dual solve.
 
-On state-balanced training data the predictor diagonalizes
-``C = R ⊗ H + σ0²·I`` instead of factorizing the NK × NK kernel. Both
-representations condition on the same Gaussian, so mean, std and the
-dual weights must agree to round-off; ``absorb`` breaks the Kronecker
-structure and must fall back to one dense factorization (never a wrong
+On state-balanced training data the predictor reads the Kronecker
+solve's ``(Q, ω, P, γ)`` instead of a Cholesky factor of the NK × NK
+kernel. Both condition on the same Gaussian, so mean, std and the dual
+weights must agree to round-off; ``absorb`` breaks the Kronecker
+structure and must continue from one dual factorization (never a wrong
 answer).
 """
 
@@ -37,7 +37,7 @@ def build_pair(monkeypatch, seed=5, n_states=6, n_basis=5, n_per=7,
     monkeypatch.setenv("REPRO_POSTERIOR_SOLVER", "dual")
     dense = PosteriorPredictor(designs, targets, prior, noise_var)
     assert kron.solver == "kron"
-    assert dense.solver == "dense"
+    assert dense.solver == "dual"
     return kron, dense, prior
 
 
@@ -88,14 +88,14 @@ class TestKronPredictorParity:
             correlation=ar1_correlation(n_states, 0.9),
         )
         predictor = PosteriorPredictor(designs, targets, prior, 0.1)
-        assert predictor.solver == "dense"
+        assert predictor.solver == "dual"
 
 
 class TestAbsorbDensifies:
     def test_absorb_matches_from_scratch_rebuild(self, monkeypatch):
-        """Absorbing into a Kronecker-mode predictor densifies once and
-        is then numerically identical to a fresh dense predictor built
-        on the concatenated (now unbalanced) data."""
+        """Absorbing into a Kronecker-mode predictor factors C once on
+        the dual path and is then numerically identical to a fresh dual
+        predictor built on the concatenated (now unbalanced) data."""
         kron, dense, prior = build_pair(monkeypatch)
         rng = np.random.default_rng(29)
         batch = rng.standard_normal((3, prior.n_basis))
@@ -103,7 +103,7 @@ class TestAbsorbDensifies:
         state = 2
 
         kron.absorb(batch, values, state)
-        assert kron.solver == "dense"
+        assert kron.solver == "dual"
         dense.absorb(batch, values, state)
 
         np.testing.assert_allclose(
@@ -163,7 +163,7 @@ class TestOnlineCBMFOnKronFit:
             monkeypatch.setenv("REPRO_POSTERIOR_SOLVER", mode)
             fitted[mode] = CBMF(seed=7).fit(designs, targets)
         assert fitted["kron"].predictor.solver == "kron"
-        assert fitted["dual"].predictor.solver == "dense"
+        assert fitted["dual"].predictor.solver == "dual"
         monkeypatch.delenv("REPRO_POSTERIOR_SOLVER", raising=False)
 
         probe = rng.standard_normal((5, n_vars))

@@ -145,12 +145,14 @@ class TestTableCommand:
 class TestSweepFit:
     def test_small_end_to_end(self, capsys, tmp_path, monkeypatch):
         """Tiny sweep through the full path: simulate -> Kronecker-mode
-        fit -> registry push -> reload -> prediction parity."""
+        fit -> registry push -> reload -> prediction parity. At 32 states
+        of 8 rows the flop estimate favours the Kronecker path (at 24 of
+        6 it keeps the dual one)."""
         import repro.paper as paper
 
         monkeypatch.setattr(paper, "DEFAULT_CACHE_DIR", tmp_path)
         assert main([
-            "sweep-fit", "--points", "24", "--train", "6",
+            "sweep-fit", "--points", "32", "--train", "8",
             "--metric", "s21_db", "--seed", "7",
         ]) == 0
         out = capsys.readouterr().out

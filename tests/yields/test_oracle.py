@@ -191,8 +191,9 @@ class TestFittedModelShapes:
 
     def test_kronecker_fitted_model(self, tmp_path):
         """A state-balanced shared-sample sweep fit takes the Kronecker
-        solver; its frozen artifact must feed the oracle end-to-end with
-        the learned correlation attached."""
+        solver (at 32 states of 8 rows the flop estimate favours it);
+        its frozen artifact must feed the oracle end-to-end with the
+        learned correlation attached."""
         from repro.core.cbmf import CBMF
         from repro.core.em import EmConfig
         from repro.core.somp_init import InitConfig
@@ -200,7 +201,7 @@ class TestFittedModelShapes:
         from repro.paper import simulate_sweep
 
         train = simulate_sweep(
-            n_points=24, n_samples_per_state=8, seed=11,
+            n_points=32, n_samples_per_state=8, seed=11,
             cache_dir=tmp_path,
         )
         basis = LinearBasis(train.n_variables)
@@ -225,7 +226,7 @@ class TestFittedModelShapes:
             n_samples=200,
         )
         assert report.correlation_shared
-        assert report.n_states == 24
+        assert report.n_states == 32
         assert np.isfinite(report.tau2)
         assert np.all(
             (0.0 <= report.yield_shrunk) & (report.yield_shrunk <= 1.0)
