@@ -23,6 +23,11 @@ Implementation notes beyond the paper:
   update the pair is renormalized so R keeps a unit mean diagonal.
 * **PSD guarding.** The R update is symmetrized and eigenvalue-floored so
   round-off can never leave the PSD cone.
+* **One eigendecomposition of R per iteration.** The floor is applied in
+  R's eigenbasis, and those eigenpairs (rescaled by the scale pin) travel
+  with the next prior (``CorrelatedPrior.eigenpairs``), so the Kronecker
+  E-step and the prior's PSD check decompose nothing again. The
+  initializer's R is decomposed once, before the first E-step.
 """
 
 from __future__ import annotations
@@ -34,10 +39,11 @@ from typing import List, Optional, Sequence, Tuple
 import numpy as np
 
 from repro.core.base import validate_multistate
+from repro.core.kronecker import _psd_eigh
 from repro.core.multistate import MultiStateData
 from repro.core.posterior import PosteriorResult, compute_posterior
 from repro.core.prior import CorrelatedPrior
-from repro.utils.linalg import nearest_psd, symmetrize
+from repro.utils.linalg import nearest_psd_eigh, symmetrize
 
 __all__ = ["EmConfig", "EmTrace", "run_em"]
 
@@ -130,14 +136,15 @@ def run_em(
     n_total = data.n_rows
     lambdas = prior.lambdas.copy()
     correlation = prior.correlation.copy()
+    eigenpairs = prior.eigenpairs or _psd_eigh(correlation)
     trace = EmTrace()
 
     previous_nll: Optional[float] = None
     for _ in range(config.max_iterations):
         active = _active_set(lambdas, config.prune_threshold)
         sub_data = data.restrict(active)
-        sub_prior = CorrelatedPrior(
-            lambdas=lambdas[active], correlation=correlation
+        sub_prior = CorrelatedPrior._from_eigenpairs(
+            lambdas[active], correlation, eigenpairs
         )
         e_started = time.perf_counter()
         posterior = compute_posterior(
@@ -170,9 +177,12 @@ def run_em(
             new_r = symmetrize(summed / n_basis)
             if config.diagonal_r:
                 new_r = np.diag(np.diag(new_r))
-            new_r = nearest_psd(new_r, floor=config.r_eigenvalue_floor)
+            new_r, omega, q_matrix = nearest_psd_eigh(
+                new_r, floor=config.r_eigenvalue_floor
+            )
         else:
             new_r = correlation
+            omega, q_matrix = eigenpairs
 
         if config.update_noise:
             noise_var = max(
@@ -185,6 +195,7 @@ def run_em(
         scale = float(np.mean(np.diag(new_r)))
         lambdas = new_lambdas * scale
         correlation = new_r / scale
+        eigenpairs = (omega / scale, q_matrix)
         trace.mstep_seconds += time.perf_counter() - m_started
 
         if previous_nll is not None:
@@ -194,7 +205,9 @@ def run_em(
                 break
         previous_nll = posterior.nll
 
-    final_prior = CorrelatedPrior(lambdas=lambdas, correlation=correlation)
+    final_prior = CorrelatedPrior._from_eigenpairs(
+        lambdas, correlation, eigenpairs
+    )
     e_started = time.perf_counter()
     final_posterior = _full_posterior(data, final_prior, noise_var, config)
     trace.posterior_seconds += time.perf_counter() - e_started
@@ -226,7 +239,9 @@ def _full_posterior(
     lambdas[active] = prior.lambdas[active]
     return compute_posterior(
         data,
-        prior=CorrelatedPrior(lambdas=lambdas, correlation=prior.correlation),
+        prior=CorrelatedPrior._from_eigenpairs(
+            lambdas, prior.correlation, prior.eigenpairs
+        ),
         noise_var=noise_var,
         want_blocks=False,
     )

@@ -10,25 +10,34 @@ measurement — the data term shares the structure: ``DᵀD = G ⊗ I_K`` with
 
 then block-diagonalizes under the eigendecomposition ``R = Q·diag(ω)·Qᵀ``:
 rotating states by Q leaves K *independent* M-dimensional ridge problems,
-state j with prior covariance ``ω_j·Λ``. One more (shared!) symmetric
-eigendecomposition finishes each of them in closed form: with
-``G̃ = √Λ·G·√Λ = P·diag(γ)·Pᵀ`` and ``denom[i, j] = 1 + ω_j·γ_i/σ0²``,
+state j with prior covariance ``ω_j·Λ``. They share one design, so one
+thin SVD finishes all of them in closed form. ``G̃ = √Λ·G·√Λ`` has rank
+r ≤ min(N, M); the SVD ``B·√Λ = U·diag(s)·Pᵀ`` (``full_matrices=False``)
+gives its nonzero eigenpairs, γ = s² and P (M × r), without forming G̃.
+With ``denom[i, j] = 1 + ω_j·γ_i/σ0²``,
 
-    Σ̃_j = ω_j · √Λ · P · diag(1/denom[:, j]) · Pᵀ · √Λ
+    Σ̃_j = ω_j · √Λ · (I − P·Pᵀ + P · diag(1/denom[:, j]) · Pᵀ) · √Λ
     μ̃_j = (ω_j/σ0²) · √Λ · P · diag(1/denom[:, j]) · Pᵀ · √Λ · Bᵀ·(Y·Q)_j
 
-(the square-root form is exact for λ_m = 0 and singular R). Everything
-the EM updates consume — mean, per-basis traces, ``Tr(D Σ_p Dᵀ)``, the
-marginal likelihood — reduces to O(M·K) grids over ``denom``:
+(the square-root form is exact for λ_m = 0 and singular R). The M − r
+null directions of G̃ have ``denom = 1``: they add nothing to the mean,
+the trace or the likelihood, only the ``I − P·Pᵀ`` term to Σ̃_j. This is
+the push-through identity of the dual path (eq. 19-22), applied inside
+the rotation: each solve lives on the rank-N side. Everything the EM
+updates consume — mean, per-basis traces, ``Tr(D Σ_p Dᵀ)``, the marginal
+likelihood — reduces to O(M·K) grids over ``denom``:
 
     Tr(D Σ_p Dᵀ)  = Σ_{i,j} ω_j·γ_i / denom[i, j]
     log det C     = n·log σ0² + Σ_{i,j} log denom[i, j]      (Sylvester)
     yᵀC⁻¹y        = σ0⁻²·‖y − Dμ‖² + μᵀA⁻¹μ,  μᵀA⁻¹μ = Σ T²·ω / σ0⁴
 
-with ``T = P·(Z/denom)``, ``Z = Pᵀ·√Λ·Bᵀ·Y·Q``. Total cost is
-O(K³ + M³ + MK·(M + K) + NM²) against the dual path's O(n³ + n²M) with
-n = N·K — near-linear in K for fixed per-state sample count, which is
-what turns "32 knob settings" into 201-point frequency sweeps.
+with ``T = P·(Z/denom)``, ``Z = Pᵀ·√Λ·Bᵀ·Y·Q = diag(s)·Uᵀ·Y·Q``. Total
+cost is O(K³ + N·M·min(N, M) + MK·(N + K)) against the dual path's
+O(n³ + n²M) with n = N·K, and the K³ is the eigendecomposition of R,
+which EM hands over from its R update (``CorrelatedPrior.eigenpairs``)
+instead of repeating. That is near-linear in K for fixed per-state
+sample count, which is what turns "32 knob settings" into 201-point
+frequency sweeps.
 
 The (M, K, K) covariance blocks are **never materialized** here (and
 neither is the MK × MK prior ``A``): :class:`KroneckerFactors` carries
@@ -78,17 +87,25 @@ def choose_solver(data: MultiStateData) -> str:
     """The posterior path for ``data``: ``"kron"`` or ``"dual"``.
 
     Under the default ``REPRO_POSTERIOR_SOLVER=auto`` the Kronecker path
-    needs state-balanced data, at least :data:`KRON_MIN_STATES` states
-    and a flop estimate in its favour; ``dual`` disables it everywhere
-    (the benchmark's baseline arm); ``kron`` takes it whenever the data
-    is balanced, regardless of size. ``compute_posterior(method="auto")``
-    and the S-OMP greedy scan both decide here.
+    needs state-balanced data and at least :data:`KRON_MIN_STATES`
+    states. No size estimate is consulted: on the rank-N side the
+    Kronecker path was not slower than the dual one in any posterior
+    solve or whole fit measured at K ∈ {24, 32, 64}, N ∈ {2, 3, 6, 10}
+    and M ∈ {60, 238, 600, 1264} (EXPERIMENTS.md). ``dual`` disables it
+    everywhere (the benchmark's baseline arm); ``kron`` takes it whenever
+    the data is balanced, regardless of size.
+    ``compute_posterior(method="auto")`` and the S-OMP greedy scan both
+    decide here.
     """
     mode = _solver_policy()
     if mode == "kron":
         kron = data.state_balanced
     else:
-        kron = mode == "auto" and _kron_cheaper(data)
+        kron = (
+            mode == "auto"
+            and data.n_states >= KRON_MIN_STATES
+            and data.state_balanced
+        )
     return "kron" if kron else "dual"
 
 
@@ -103,21 +120,6 @@ def _solver_policy() -> str:
     return mode
 
 
-def _kron_cheaper(data: MultiStateData) -> bool:
-    """Balanced, ≥ :data:`KRON_MIN_STATES` states, and a flop estimate
-    that favours the rotation — a 1264-basis LNA fit at K = 32 is
-    balanced but dominated by the M³ eigendecomposition, so it stays on
-    the dual path."""
-    if data.n_states < KRON_MIN_STATES or not data.state_balanced:
-        return False
-    n_per = data.n_rows // data.n_states
-    m, k = float(data.n_basis), float(data.n_states)
-    kron_flops = k**3 + m**3 + n_per * m**2 + m * k * (m + k)
-    n = float(data.n_rows)
-    dual_flops = n**3 / 3.0 + n**2 * m
-    return kron_flops < dual_flops
-
-
 def _psd_eigh(matrix: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
     """Eigendecomposition of a symmetric PSD matrix, clipped at zero."""
     try:
@@ -127,6 +129,35 @@ def _psd_eigh(matrix: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
             f"eigendecomposition failed in the Kronecker solver: {error}"
         ) from error
     return np.maximum(values, 0.0), vectors
+
+
+def _thin_gram_eigh(
+    scaled: np.ndarray,
+) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Nonzero eigenpairs of ``G̃ = XᵀX`` from one thin SVD of ``X``.
+
+    ``X = B·√Λ`` is N × M and G̃ has rank ≤ min(N, M), so
+    ``X = U·diag(s)·Pᵀ`` (``full_matrices=False``) gives γ = s² and P
+    without forming G̃. Directions with ``γ ≤ γ_max·max(N, M)·ε`` are
+    dropped: they are G̃'s null space, where ``denom = 1`` exactly.
+    Returns ``(γ, P, U·diag(s))``, with P of shape (M, r).
+    """
+    try:
+        u_matrix, singular, vt_matrix = np.linalg.svd(
+            scaled, full_matrices=False
+        )
+    except np.linalg.LinAlgError as error:  # pragma: no cover - rare
+        raise NumericalError(
+            f"SVD failed in the Kronecker solver: {error}"
+        ) from error
+    gamma = singular**2
+    cutoff = gamma.max(initial=0.0) * max(scaled.shape) * np.finfo(float).eps
+    keep = gamma > cutoff
+    return (
+        gamma[keep],
+        vt_matrix[keep].T,
+        u_matrix[:, keep] * singular[keep],
+    )
 
 
 def check_solved_correlation(
@@ -154,7 +185,9 @@ class KroneckerFactors:
         Eigenvectors/eigenvalues of the correlation matrix R the solve
         ran at (``R = Q·diag(ω)·Qᵀ``).
     p, gamma:
-        Eigenvectors/eigenvalues of ``G̃ = √Λ·BᵀB·√Λ`` (M × M, M).
+        The r nonzero eigenpairs of ``G̃ = √Λ·BᵀB·√Λ`` (M × r, r) with
+        r ≤ min(N, M), from one thin SVD of ``B·√Λ``; the other M − r
+        directions are G̃'s null space (``denom = 1`` there).
     correlation:
         The R itself, kept so M-step consumers can verify they pass the
         same matrix the posterior was solved at.
@@ -242,7 +275,9 @@ def compute_posterior_kron(
     Requires ``data.state_balanced`` (every state fitted on the same
     design matrix). Numerically equivalent to the dual-space path and the
     ``compute_posterior_dense`` oracle — parity is pinned at rtol ≤ 1e-8
-    in the test suite — at O(K³ + M³ + MK·(M+K)) cost.
+    in the test suite — at O(K³ + N·M·min(N, M) + MK·(N + K)) cost, where
+    the K³ is skipped when ``prior.eigenpairs`` carries R's
+    eigendecomposition.
     """
     from repro.core.posterior import PosteriorResult
 
@@ -259,27 +294,31 @@ def compute_posterior_kron(
     n_states = data.n_states
     n_rows = data.n_rows
 
-    omega, q_matrix = _psd_eigh(correlation)
+    if prior.eigenpairs is not None:
+        omega, q_matrix = prior.eigenpairs
+    else:
+        omega, q_matrix = _psd_eigh(correlation)
     sqrt_lam = np.sqrt(lambdas)
-    gram = b_matrix.T @ b_matrix  # G = BᵀB (M, M)
-    g_tilde = sqrt_lam[:, None] * gram * sqrt_lam[None, :]
-    gamma, p_matrix = _psd_eigh(0.5 * (g_tilde + g_tilde.T))
+    gamma, p_matrix, u_scaled = _thin_gram_eigh(b_matrix * sqrt_lam)
 
-    # denom[i, j] = 1 + ω_j·γ_i/σ0² — the whole posterior in one grid.
-    denom = 1.0 + np.outer(gamma, omega) / noise_var  # (M, K)
+    # denom[i, j] = 1 + ω_j·γ_i/σ0² — the whole posterior in one grid;
+    # the null directions of G̃ have denom = 1 and enter in closed form.
+    denom = 1.0 + np.outer(gamma, omega) / noise_var  # (r, K)
 
-    w_rot = b_matrix.T @ y_matrix @ q_matrix  # W̃ = Bᵀ·Y·Q (M, K)
-    z_matrix = p_matrix.T @ (sqrt_lam[:, None] * w_rot)
-    t_matrix = p_matrix @ (z_matrix / denom)  # finite even at λ, ω → 0
+    # Z = Pᵀ·√Λ·Bᵀ·Y·Q = diag(s)·Uᵀ·Y·Q, read off the SVD.
+    z_matrix = u_scaled.T @ (y_matrix @ q_matrix)  # (r, K)
+    z_scaled = z_matrix / denom
+    t_matrix = p_matrix @ z_scaled  # finite even at λ, ω → 0
     mean_rot = (
         sqrt_lam[:, None] * t_matrix * (omega[None, :] / noise_var)
     )  # μ̃ (M, K)
     mean = mean_rot @ q_matrix.T  # (M, K)
 
-    # Residual and marginal likelihood (see module docstring identities).
+    # Residual and marginal likelihood (see module docstring identities);
+    # P has orthonormal columns, so ‖T_j‖ = ‖(Z/denom)_j‖.
     residual = y_matrix - b_matrix @ mean
     residual_sq = float(np.sum(residual * residual))
-    quad_prior = float(np.sum(t_matrix**2 * omega[None, :])) / noise_var**2
+    quad_prior = float(np.sum(z_scaled**2 * omega[None, :])) / noise_var**2
     log_det = n_rows * float(np.log(noise_var)) + float(
         np.sum(np.log(denom))
     )
@@ -289,10 +328,16 @@ def compute_posterior_kron(
     trace_dsd: Optional[float] = None
     if want_blocks:
         inv_denom = 1.0 / denom
-        # V[m, j] = Σ̃_j[m, m] = ω_j·λ_m·Σ_i P[m, i]²/denom[i, j]
+        # V[m, j] = ω_j·λ_m·(c_m + Σ_i P[m, i]²/denom[i, j]), where
+        # c_m = 1 − ‖P[m, :]‖² is basis m's share of the null space.
+        p_sq = p_matrix**2
+        if p_matrix.shape[1] == n_basis:
+            null_share = np.zeros(n_basis)
+        else:
+            null_share = np.maximum(1.0 - p_sq.sum(axis=1), 0.0)
         vdiag = (
             lambdas[:, None]
-            * ((p_matrix**2) @ inv_denom)
+            * (null_share[:, None] + p_sq @ inv_denom)
             * omega[None, :]
         )
         trace_dsd = float(np.sum((gamma[:, None] * inv_denom) * omega))

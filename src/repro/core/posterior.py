@@ -476,9 +476,17 @@ def compute_posterior_dense(
     a_matrix = prior.full_covariance()
     c_matrix = noise_var * np.eye(n_rows) + d_matrix @ a_matrix @ d_matrix.T
     c_inv = np.linalg.inv(c_matrix)
-    ad_t = a_matrix @ d_matrix.T
-    sigma = a_matrix - ad_t @ c_inv @ ad_t.T
-    mu = (sigma @ d_matrix.T @ y) / noise_var
+    # The gain K = A·Dᵀ·C⁻¹ gives μ_p = K·y and, in Joseph form,
+    # Σ_p = (I − K·D)·A·(I − K·D)ᵀ + σ0²·K·Kᵀ — eq. 20-22 exactly. The
+    # shorter A − K·D·A and σ0⁻²·Σ_p·Dᵀ·y cancel when the data outweighs
+    # the prior (Σ_p ≪ A) and lose ε·cond(C)·‖A‖/‖Σ_p‖, 1e-7 relative
+    # at σ0² = 1e-3 with 10 rows per state; this form loses only ε·cond(C).
+    gain = a_matrix @ d_matrix.T @ c_inv
+    unexplained = np.eye(n_basis * n_states) - gain @ d_matrix
+    sigma = unexplained @ a_matrix @ unexplained.T + noise_var * (
+        gain @ gain.T
+    )
+    mu = gain @ y
 
     mean = mu.reshape(n_basis, n_states)
     blocks = np.empty((n_basis, n_states, n_states))

@@ -25,7 +25,11 @@ factored. It reads the factorization the solve kept
   blocks with covariance ``Σ̃_j``, so the latent variance is read in the
   rotated frame, with no C at all:
 
-      var = Σ_j Q[k, j]²·ω_j·Σ_i (Pᵀ√Λφ)_i² / denom[i, j].
+      var = Σ_j Q[k, j]²·ω_j·Σ_i (Pᵀ√Λφ)_i² / denom[i, j]
+            + R[k, k]·(‖√Λφ‖² − ‖Pᵀ√Λφ‖²),
+
+  the second term being the null space of G̃ (``denom = 1``), so a query
+  costs O(n·M·r) with r ≤ N.
 
 The mean is ``design @ mean[:, k]`` on both paths. A pruned fit's
 posterior holds its pruned bases at λ = 0, so the predictor conditions on
@@ -122,16 +126,8 @@ class PosteriorPredictor:
             self._factor = factors.factor
         else:
             self._kron = factors
-            # G̃ has rank ≤ N; eigh returns its other eigenvalues as
-            # round-off (~1e-16·γ_max). Scaled by ω/σ0², that round-off
-            # moved the variance by 1e-8 relative at fit_sweep's fitted
-            # σ0² ≈ 1e-6, so below the usual rank cutoff they are taken
-            # as the exact zeros they stand for.
-            gamma = factors.gamma
-            cutoff = gamma.max(initial=0.0) * gamma.size * np.finfo(float).eps
-            gamma = np.where(gamma > cutoff, gamma, 0.0)
             self._kron_inv_denom = 1.0 / (
-                1.0 + np.outer(gamma, factors.omega) / self._noise_var
+                1.0 + np.outer(factors.gamma, factors.omega) / self._noise_var
             )
 
     # ------------------------------------------------------------------
@@ -314,10 +310,18 @@ class PosteriorPredictor:
         design = self._check_query(design, state)
         kron = self._kron
         if kron is not None:
-            # Rotated frame: Σ_j Q[s, j]²·ω_j·Σ_i (Pᵀ√Λφ)_i²/denom[i, j].
-            rotated = (design * np.sqrt(kron.lambdas)) @ kron.p
-            weights = self._kron_inv_denom @ (kron.q[state] ** 2 * kron.omega)
-            variance = (rotated * rotated) @ weights
+            # Rotated frame: Σ_j Q[s, j]²·ω_j·Σ_i (Pᵀ√Λφ)_i²/denom[i, j],
+            # plus G̃'s null space (denom = 1), R[s, s]-weighted.
+            scaled = design * np.sqrt(kron.lambdas)
+            rotated = scaled @ kron.p
+            state_weights = kron.q[state] ** 2 * kron.omega
+            rotated_sq = rotated * rotated
+            null_sq = np.einsum("ij,ij->i", scaled, scaled) - rotated_sq.sum(
+                axis=1
+            )
+            variance = rotated_sq @ (
+                self._kron_inv_denom @ state_weights
+            ) + state_weights.sum() * np.maximum(null_sq, 0.0)
         else:
             prior_var = self._correlation[state, state] * np.einsum(
                 "ij,j,ij->i", design, self._lambdas, design

@@ -19,7 +19,7 @@ coefficient of basis ``m`` in every state (eq. 6-7). The prior is
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Optional
+from typing import Optional, Tuple
 
 import numpy as np
 
@@ -55,10 +55,18 @@ class CorrelatedPrior:
     correlation:
         Cross-state covariance structure ``R``, shape (K, K), symmetric
         positive semi-definite.
+    eigenpairs:
+        ``(ω, Q)`` with ``R = Q·diag(ω)·Qᵀ`` and ω ≥ 0 when the prior was
+        built from a known eigendecomposition (EM's priors, by
+        :meth:`_from_eigenpairs`); ``None`` otherwise. The Kronecker
+        solver reads it instead of eigendecomposing R again.
     """
 
     lambdas: np.ndarray
     correlation: np.ndarray
+    eigenpairs: Optional[Tuple[np.ndarray, np.ndarray]] = field(
+        default=None, init=False, repr=False, compare=False
+    )
 
     def __post_init__(self) -> None:
         self.lambdas = check_vector(self.lambdas, "lambdas")
@@ -67,8 +75,31 @@ class CorrelatedPrior:
         self.correlation = symmetrize(
             check_square(self.correlation, "correlation")
         )
-        if not is_psd(self.correlation, tol=1e-8):
+        if self.eigenpairs is not None:
+            # Non-negative eigenpairs of R prove it PSD, with no check.
+            if np.any(self.eigenpairs[0] < 0.0):
+                raise ValueError("correlation eigenvalues must be >= 0")
+        elif not is_psd(self.correlation, tol=1e-8):
             raise ValueError("correlation matrix must be PSD")
+
+    @classmethod
+    def _from_eigenpairs(
+        cls,
+        lambdas: np.ndarray,
+        correlation: np.ndarray,
+        eigenpairs: Tuple[np.ndarray, np.ndarray],
+    ) -> "CorrelatedPrior":
+        """A prior whose R comes with its eigendecomposition ``(ω, Q)``.
+
+        The caller vouches that ``R = Q·diag(ω)·Qᵀ``; the eigenpairs
+        replace the PSD check, which would decompose R once more.
+        """
+        prior = cls.__new__(cls)
+        prior.lambdas = lambdas
+        prior.correlation = correlation
+        prior.eigenpairs = eigenpairs
+        prior.__post_init__()
+        return prior
 
     # ------------------------------------------------------------------
     @classmethod

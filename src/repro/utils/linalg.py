@@ -24,6 +24,7 @@ __all__ = [
     "inv_psd",
     "inv_from_cholesky",
     "nearest_psd",
+    "nearest_psd_eigh",
     "is_psd",
     "woodbury_inverse_apply",
     "quadratic_form",
@@ -90,12 +91,18 @@ def inv_from_cholesky(factor: np.ndarray) -> np.ndarray:
 
     Uses LAPACK ``dpotri`` — roughly half the work of the equivalent
     ``cho_solve(factor, eye(n))`` and no n×n identity to materialize.
+    Only the lower triangle of ``factor`` is read, so a factor with
+    garbage above its diagonal (``scipy.linalg.cho_factor``) is fine.
     """
-    inverse, info = sla.lapack.dpotri(factor, lower=1)
+    # One work copy: the factor's lower triangle in Fortran order (the
+    # transpose's upper one), which dpotri overwrites in place with the
+    # inverse's lower triangle, leaving the zeros above it.
+    work = np.triu(factor.T).T
+    inverse, info = sla.lapack.dpotri(work, lower=1, overwrite_c=1)
     if info != 0:
         raise NumericalError(f"dpotri failed with info={info}")
-    # dpotri fills only the lower triangle; mirror it.
-    return np.tril(inverse) + np.tril(inverse, -1).T
+    inverse += np.tril(inverse, -1).T
+    return inverse
 
 
 def log_det_psd(matrix: np.ndarray) -> float:
@@ -117,10 +124,24 @@ def nearest_psd(matrix: np.ndarray, *, floor: float = 0.0) -> np.ndarray:
     ``floor`` optionally lower-bounds the eigenvalues (useful to keep the
     learned correlation matrix ``R`` strictly positive definite during EM).
     """
+    return nearest_psd_eigh(matrix, floor=floor)[0]
+
+
+def nearest_psd_eigh(
+    matrix: np.ndarray, *, floor: float = 0.0
+) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """:func:`nearest_psd` plus the eigenpairs it was built from.
+
+    Returns ``(projected, values, vectors)`` with ``projected`` ≈
+    ``vectors·diag(values)·vectorsᵀ`` and ``values ≥ floor``, so a caller
+    that needs the projection's eigendecomposition does not compute it
+    again.
+    """
     sym = symmetrize(np.asarray(matrix, dtype=float))
     eigenvalues, eigenvectors = np.linalg.eigh(sym)
     clipped = np.maximum(eigenvalues, floor)
-    return symmetrize((eigenvectors * clipped) @ eigenvectors.T)
+    projected = symmetrize((eigenvectors * clipped) @ eigenvectors.T)
+    return projected, clipped, eigenvectors
 
 
 def woodbury_inverse_apply(

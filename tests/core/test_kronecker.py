@@ -7,7 +7,8 @@ eigendecomposition fast path of ``repro.core.kronecker``. These tests pin
   ``compute_posterior_dense`` oracle on random balanced shapes, including
   zero prior scales and pruned-column (``restrict``) solves;
 * parity against the dual-space path, which has its own oracle pinning;
-* the auto-dispatch policy (balance + size + ``REPRO_POSTERIOR_SOLVER``);
+* the auto-dispatch policy (balance + state count +
+  ``REPRO_POSTERIOR_SOLVER``);
 * the memory contract: the fast path never materializes the MK × MK
   prior ``A``, the NK × NK kernel ``C`` or the (M, K, K) block tensor;
 * the factored M-step statistics the EM consumes, and full-EM parity
@@ -24,8 +25,8 @@ from hypothesis import given, settings, strategies as st
 
 from repro.core.kronecker import (
     KRON_MIN_STATES,
-    _kron_cheaper as kron_applicable,
     _solver_policy as resolve_solver_mode,
+    choose_solver,
     compute_posterior_kron,
 )
 from repro.core.multistate import MultiStateData
@@ -44,11 +45,22 @@ RTOL = 1e-8
 
 
 def make_balanced(
-    seed, n_states, n_basis, n_per, r0, noise_var, n_zero_lambdas=0
+    seed,
+    n_states,
+    n_basis,
+    n_per,
+    r0,
+    noise_var,
+    n_zero_lambdas=0,
+    n_duplicate_rows=0,
 ):
-    """A state-balanced problem: one design shared by every state."""
+    """A state-balanced problem: one design shared by every state; its
+    last ``n_duplicate_rows`` rows repeat earlier ones (rank-deficient)."""
     rng = np.random.default_rng(seed)
     design = rng.standard_normal((n_per, n_basis))
+    if n_duplicate_rows:
+        copied = rng.integers(0, n_per - n_duplicate_rows, n_duplicate_rows)
+        design[n_per - n_duplicate_rows:] = design[copied]
     designs = [design] * n_states
     targets = [rng.standard_normal(n_per) for _ in range(n_states)]
     lambdas = rng.uniform(0.05, 2.0, n_basis)
@@ -93,23 +105,35 @@ def _default_solver_policy(monkeypatch):
 
 
 class TestKronVsDenseOracle:
-    @settings(max_examples=25, deadline=None)
+    @settings(max_examples=40, deadline=None)
     @given(
         seed=st.integers(0, 10_000),
         n_states=st.integers(2, 6),
         n_basis=st.integers(1, 8),
-        n_per=st.integers(2, 7),
+        n_per=st.integers(1, 12),
         r0=st.floats(0.0, 0.95),
         noise_var=st.floats(1e-3, 2.0),
-        n_zero_lambdas=st.integers(0, 1),
+        n_zero_lambdas=st.integers(0, 7),
+        n_duplicate_rows=st.integers(0, 4),
     )
     def test_random_balanced_shapes(
-        self, seed, n_states, n_basis, n_per, r0, noise_var, n_zero_lambdas
+        self,
+        seed,
+        n_states,
+        n_basis,
+        n_per,
+        r0,
+        noise_var,
+        n_zero_lambdas,
+        n_duplicate_rows,
     ):
-        """Mean/blocks/nll/trace/residual match the eq. 18-22 oracle."""
+        """Mean/blocks/nll/trace/residual match the eq. 18-22 oracle —
+        with more rows than bases, fewer or as many, duplicated rows
+        (rank-deficient B) and up to M − 1 bases at λ = 0."""
         designs, targets, prior = make_balanced(
             seed, n_states, n_basis, n_per, r0, noise_var,
             n_zero_lambdas=min(n_zero_lambdas, n_basis - 1),
+            n_duplicate_rows=min(n_duplicate_rows, n_per - 1),
         )
         kron_result = compute_posterior(
             designs, targets, prior, noise_var, method="kron"
@@ -164,6 +188,25 @@ class TestKronVsDenseOracle:
         )
         np.testing.assert_allclose(
             kron_result.trace_dsd, dual.trace_dsd, rtol=1e-9
+        )
+
+    def test_mean_exact_at_tiny_noise(self):
+        """On the rank-N side the null directions of G̃ are exact, not
+        round-off scaled by ω/σ0²: at σ0² = 1e-8 the mean equals the
+        dual Cholesky solve's to 1e-10 of its largest entry (N < M)."""
+        noise_var = 1e-8
+        designs, targets, prior = make_balanced(
+            17, KRON_MIN_STATES, 60, 6, 0.9, noise_var
+        )
+        kron_result = compute_posterior(
+            designs, targets, prior, noise_var, method="kron"
+        )
+        dual = compute_posterior(
+            designs, targets, prior, noise_var, method="dual"
+        )
+        scale = float(np.abs(dual.mean).max())
+        np.testing.assert_allclose(
+            kron_result.mean, dual.mean, rtol=0, atol=1e-10 * scale
         )
 
     def test_want_blocks_false(self):
@@ -279,6 +322,53 @@ class TestMstepStatistics:
         )
 
 
+class TestEmWorkCounts:
+    @pytest.mark.parametrize(
+        "options",
+        [{}, {"update_r": False}, {"diagonal_r": True}],
+        ids=["default", "fixed-r", "diagonal-r"],
+    )
+    def test_one_eigendecomposition_of_r_per_iteration(
+        self, monkeypatch, options
+    ):
+        """Kronecker EM on a balanced N < M problem decomposes R once per
+        iteration plus once up front, nothing M × M, and never re-checks
+        R with ``eigvalsh``; the E-step reads G̃ through an N × M SVD."""
+        from repro.core.em import EmConfig, run_em
+
+        n_states, n_basis, n_per = 32, 60, 6
+        designs, targets, _ = make_balanced(
+            21, n_states, n_basis, n_per, 0.9, 0.05
+        )
+        prior = CorrelatedPrior(
+            lambdas=np.full(n_basis, 0.5),
+            correlation=ar1_correlation(n_states, 0.8),
+        )
+        shapes = {"eigh": [], "eigvalsh": [], "svd": []}
+        for name in shapes:
+            real = getattr(np.linalg, name)
+
+            def spy(matrix, *args, _name=name, _real=real, **kwargs):
+                shapes[_name].append(np.shape(matrix))
+                return _real(matrix, *args, **kwargs)
+
+            monkeypatch.setattr(np.linalg, name, spy)
+        config = EmConfig(max_iterations=5, tolerance=1e-300, **options)
+        _, _, posterior, trace = run_em(
+            designs, targets, prior, 0.05, config
+        )
+
+        assert posterior.solver == "kron"
+        assert trace.n_iterations == 5
+        r_side = (n_states, n_states)
+        assert shapes["eigh"].count(r_side) <= trace.n_iterations + 1
+        assert set(shapes["eigh"]) <= {r_side}
+        assert shapes["eigvalsh"] == []
+        assert set(shapes["svd"]) == {(n_per, n_basis)}
+        # Every E-step (and the final solve) reads G̃ once.
+        assert len(shapes["svd"]) == trace.n_iterations + 1
+
+
 class TestDispatchPolicy:
     def test_auto_picks_kron_when_balanced_and_large(self):
         noise_var = 0.1
@@ -349,9 +439,11 @@ class TestDispatchPolicy:
                 designs, targets, prior, 0.1, method="woodbury"
             )
 
-    def test_kron_applicable_respects_flop_estimate(self):
-        """Balanced + large-K but with a huge basis (M³ dominates) stays
-        on the dual path — the LNA-at-paper-scale shape."""
+    def test_large_basis_few_rows_takes_kron(self):
+        """Balanced at K ≥ KRON_MIN_STATES takes the Kronecker path even
+        with a huge basis and few rows per state: on the rank-N side its
+        cost grows with N·M·min(N, M), not M³, so no size estimate keeps
+        such data on the dual path."""
         rng = np.random.default_rng(4)
         n_states, n_basis, n_per = KRON_MIN_STATES, 600, 3
         design = rng.standard_normal((n_per, n_basis))
@@ -360,27 +452,33 @@ class TestDispatchPolicy:
             [rng.standard_normal(n_per) for _ in range(n_states)],
         )
         assert data.state_balanced
-        assert not kron_applicable(data)
+        assert choose_solver(data) == "kron"
 
 
 class TestOneSolverRule:
     @pytest.mark.parametrize(
-        "n_basis, n_per, expected",
-        [(600, 3, "dual"), (4, 5, "kron")],
+        "n_states, n_basis, n_per, expected",
+        [
+            pytest.param(KRON_MIN_STATES, 4, 5, "kron", id="4-5-kron"),
+            pytest.param(KRON_MIN_STATES, 600, 3, "kron", id="600-3-kron"),
+            pytest.param(
+                KRON_MIN_STATES - 1, 600, 3, "dual", id="600-3-k23-dual"
+            ),
+        ],
     )
     def test_greedy_scan_posterior_and_predictor_agree(
-        self, monkeypatch, n_basis, n_per, expected
+        self, monkeypatch, n_states, n_basis, n_per, expected
     ):
-        """One rule for all three: at K = 24, N = 3, M = 600 the flop
-        estimate keeps balanced data on the dual path everywhere, and a
-        small balanced basis takes the Kronecker path everywhere."""
+        """One rule for all three: balanced data at K = 24 takes the
+        Kronecker path everywhere, with a small basis or with N = 3 rows
+        against M = 600 bases, and at K = 23 the dual path everywhere."""
         import repro.core.somp_init as somp_init
         from repro.core.predictive import PosteriorPredictor
 
         monkeypatch.delenv("REPRO_POSTERIOR_SOLVER", raising=False)
         noise_var = 0.1
         designs, targets, prior = make_balanced(
-            4, KRON_MIN_STATES, n_basis, n_per, 0.9, noise_var
+            4, n_states, n_basis, n_per, 0.9, noise_var
         )
         scans = []
         real_scan = somp_init.select_shared_support
@@ -430,7 +528,7 @@ class TestMemoryContract:
             9, n_states, n_basis, n_per, 0.95, noise_var
         )
         data = MultiStateData.from_states(designs, targets)
-        assert kron_applicable(data)
+        assert choose_solver(data) == "kron"
 
         tracemalloc.start()
         try:

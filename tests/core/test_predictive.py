@@ -323,7 +323,7 @@ class TestOnePosteriorPerFit:
         for module in (
             kronecker_module, posterior_module, predictive_module
         ):
-            for name in ("cholesky_factor", "_psd_eigh"):
+            for name in ("cholesky_factor", "_psd_eigh", "_thin_gram_eigh"):
                 if not hasattr(module, name):
                     continue
 

@@ -145,9 +145,8 @@ class TestTableCommand:
 class TestSweepFit:
     def test_small_end_to_end(self, capsys, tmp_path, monkeypatch):
         """Tiny sweep through the full path: simulate -> Kronecker-mode
-        fit -> registry push -> reload -> prediction parity. At 32 states
-        of 8 rows the flop estimate favours the Kronecker path (at 24 of
-        6 it keeps the dual one)."""
+        fit -> registry push -> reload -> prediction parity. Balanced
+        data at 32 states takes the Kronecker path."""
         import repro.paper as paper
 
         monkeypatch.setattr(paper, "DEFAULT_CACHE_DIR", tmp_path)

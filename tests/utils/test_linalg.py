@@ -62,13 +62,19 @@ class TestCholesky:
             )
 
     def test_inv_from_cholesky_matches_inv_psd(self):
+        """Also from ``cho_factor``'s factor, which keeps the input's
+        entries above its diagonal: only the lower triangle is read."""
+        from scipy import linalg as sla
+
         matrix = random_psd(np.random.default_rng(12), 5)
-        factor = linalg.cholesky_factor(matrix)
-        assert np.allclose(
-            linalg.inv_from_cholesky(factor.copy()),
-            linalg.inv_psd(matrix),
-            atol=1e-10,
-        )
+        garbage_above, _ = sla.cho_factor(matrix, lower=True)
+        assert np.any(np.triu(garbage_above, 1) != 0.0)
+        for factor in (linalg.cholesky_factor(matrix), garbage_above):
+            assert np.allclose(
+                linalg.inv_from_cholesky(factor.copy()),
+                linalg.inv_psd(matrix),
+                atol=1e-10,
+            )
 
     @pytest.mark.parametrize(
         "matrix",

@@ -191,9 +191,9 @@ class TestFittedModelShapes:
 
     def test_kronecker_fitted_model(self, tmp_path):
         """A state-balanced shared-sample sweep fit takes the Kronecker
-        solver (at 32 states of 8 rows the flop estimate favours it);
-        its frozen artifact must feed the oracle end-to-end with the
-        learned correlation attached."""
+        solver (32 states, above ``KRON_MIN_STATES``); its frozen
+        artifact must feed the oracle end-to-end with the learned
+        correlation attached."""
         from repro.core.cbmf import CBMF
         from repro.core.em import EmConfig
         from repro.core.somp_init import InitConfig
