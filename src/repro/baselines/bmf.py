@@ -13,6 +13,7 @@ paper's argument rests on: C-BMF − magnitude correlation = this estimator.
 
 from __future__ import annotations
 
+from dataclasses import replace
 from typing import Optional
 
 from repro.core.cbmf import CBMF
@@ -37,23 +38,6 @@ class UncorrelatedBMF(CBMF):
         em_config: Optional[EmConfig] = None,
         seed: SeedLike = None,
     ) -> None:
-        base_init = init_config or InitConfig()
-        init = InitConfig(
-            r0_grid=(0.0,),
-            sigma0_grid=base_init.sigma0_grid,
-            n_basis_grid=base_init.n_basis_grid,
-            n_folds=base_init.n_folds,
-        )
-        base_em = em_config or EmConfig()
-        em = EmConfig(
-            max_iterations=base_em.max_iterations,
-            tolerance=base_em.tolerance,
-            prune_threshold=base_em.prune_threshold,
-            lambda_floor=base_em.lambda_floor,
-            r_eigenvalue_floor=base_em.r_eigenvalue_floor,
-            update_r=base_em.update_r,
-            diagonal_r=True,
-            update_noise=base_em.update_noise,
-            min_noise_var=base_em.min_noise_var,
-        )
+        init = replace(init_config or InitConfig(), r0_grid=(0.0,))
+        em = replace(em_config or EmConfig(), diagonal_r=True)
         super().__init__(init_config=init, em_config=em, seed=seed)

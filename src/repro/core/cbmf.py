@@ -180,11 +180,10 @@ class CBMF(MultiStateRegressor):
         self.center_ = grand_center
         self._scale = scale
         self._predictor = PosteriorPredictor(posterior)
-        active_threshold = self.em_config.prune_threshold or 1e-4
         self.report_ = FitReport(
             init=init,
             em=trace,
-            n_active=int(prior.active_set(active_threshold).size),
+            n_active=int(prior.active_set(1e-4).size),
             noise_std=self.noise_std_,
             init_seconds=init_seconds,
             em_seconds=trace.seconds,
@@ -290,7 +289,7 @@ class CBMF(MultiStateRegressor):
     ) -> np.ndarray:
         """Posterior-predictive standard deviation, in target units.
 
-        The Bayesian posterior provides calibrated error bars for free;
+        The Bayesian posterior provides error bars for free;
         ``include_noise=True`` adds the learned observation noise (spread
         of a fresh simulation rather than of the latent performance).
         """

@@ -7,13 +7,8 @@ correlation matrix ``R`` into the n×n matrix ``R[s, s]``. Historically each
 ``compute_posterior`` call re-derived all of them — once per EM iteration,
 once per greedy step, once per CV candidate. :class:`MultiStateData` builds
 them exactly once per fit and is shared by the EM loop, the S-OMP
-initializer and the predictive machinery.
-
-The object is immutable after construction; ``restrict`` produces a
-column-restricted companion (for EM pruning) that *shares* the target and
-row/state bookkeeping and only re-slices ``Φ``. When the restriction keeps
-every column, the original object is returned unchanged — the common
-no-pruning EM configuration performs zero re-stacking work per iteration.
+initializer and the predictive machinery. The object is immutable after
+construction.
 """
 
 from __future__ import annotations
@@ -55,7 +50,6 @@ class MultiStateData:
         "row_starts",
         "state_slices",
         "_row_grid",
-        "_all_columns",
         "_balanced",
     )
 
@@ -77,7 +71,6 @@ class MultiStateData:
         )
         # Open-mesh index pair expanding R (K×K) to R[s, s] (n×n).
         self._row_grid = (state_of_row[:, None], state_of_row[None, :])
-        self._all_columns = None
         self._balanced: Optional[bool] = None
 
     # ------------------------------------------------------------------
@@ -177,32 +170,6 @@ class MultiStateData:
         return self.y.reshape(self.n_states, n_per).T
 
     # ------------------------------------------------------------------
-    def restrict(self, columns: np.ndarray) -> "MultiStateData":
-        """Column-restricted companion sharing all row/state structure.
-
-        Returns ``self`` when ``columns`` is the identity selection — the
-        no-pruning EM loop then performs no per-iteration copies at all.
-        """
-        columns = np.asarray(columns)
-        if columns.size == self.n_basis and np.array_equal(
-            columns, np.arange(self.n_basis)
-        ):
-            return self
-        restricted = MultiStateData.__new__(MultiStateData)
-        restricted.phi = self.phi[:, columns]
-        restricted.y = self.y
-        restricted.offsets = self.offsets
-        restricted.state_of_row = self.state_of_row
-        restricted.row_starts = self.row_starts
-        restricted.state_slices = self.state_slices
-        restricted._row_grid = self._row_grid
-        restricted._all_columns = None
-        # A column subset of a shared design is still shared; an already
-        # known-unbalanced parent cannot become balanced by dropping
-        # columns we'd want to rely on — propagate the cached verdict.
-        restricted._balanced = self._balanced
-        return restricted
-
     def expand_correlation(self, correlation: np.ndarray) -> np.ndarray:
         """``R[s, s]`` — the n×n expansion through the cached index grid."""
         return correlation[self._row_grid]

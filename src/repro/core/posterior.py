@@ -86,7 +86,7 @@ class DualFactors:
     Attributes
     ----------
     data:
-        The (possibly column-restricted) data the solve ran on.
+        The data the solve ran on.
     factor:
         The lower Cholesky factor of ``C``, shape (n, n).
     c_inv:
@@ -452,8 +452,8 @@ def compute_posterior_dense(
     prior covariance ``A`` and the complete posterior covariance; only
     usable for small M·K. This function is the ground truth that *both*
     production fast paths are validated against on random shapes
-    (including pruned-column designs): the dual-space/Woodbury solve of
-    :func:`compute_posterior` and the Kronecker solve of
+    (including column subsets of the designs): the dual-space/Woodbury
+    solve of :func:`compute_posterior` and the Kronecker solve of
     :func:`repro.core.kronecker.compute_posterior_kron` — see
     ``tests/core/test_posterior_parity.py`` and
     ``tests/core/test_kronecker.py``. Keep it deliberately naive: any

@@ -31,13 +31,12 @@ factored. It reads the factorization the solve kept
   the second term being the null space of G̃ (``denom = 1``), so a query
   costs O(n·M·r) with r ≤ N.
 
-The mean is ``design @ mean[:, k]`` on both paths. A pruned fit's
-posterior holds its pruned bases at λ = 0, so the predictor conditions on
-the active set its coefficients came from.
+The mean is ``design @ mean[:, k]`` on both paths.
 
-This gives every C-BMF fit calibrated error bars — useful to decide
+This gives every C-BMF fit posterior error bars — useful to decide
 *where* the next simulation samples buy the most accuracy (see
-:mod:`repro.active`).
+:mod:`repro.active`). How well they are calibrated depends on where EM
+stopped (EXPERIMENTS.md, "One EM path").
 
 The predictor is also the **online-update primitive** of the streaming
 subsystem: :meth:`PosteriorPredictor.absorb` appends a fresh batch of b
@@ -144,8 +143,7 @@ class PosteriorPredictor:
 
     @cached_property
     def prior(self) -> CorrelatedPrior:
-        """The (frozen) hyper-parameters this predictor conditions with
-        (a pruned fit's pruned bases at λ = 0)."""
+        """The (frozen) hyper-parameters this predictor conditions with."""
         return CorrelatedPrior(
             lambdas=self._lambdas, correlation=self._correlation
         )

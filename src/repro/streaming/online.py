@@ -41,7 +41,7 @@ from typing import List, Optional, Tuple
 import numpy as np
 
 from repro.basis.dictionary import BasisDictionary
-from repro.core.cbmf import CBMF
+from repro.core.cbmf import CBMF, _find_intercept_column
 from repro.core.em import EmConfig
 from repro.core.frozen import FrozenModel
 from repro.utils.rng import SeedLike
@@ -89,7 +89,9 @@ class OnlineCBMF:
         self._center = float(model.center_)
         self._seed = model.seed
         self._em_config = model.em_config
-        self._intercept = self._find_intercept()
+        self._intercept = _find_intercept_column(
+            [self._predictor.training_rows()[0]]
+        )
         self.n_absorbed_batches = 0
         self.n_absorbed_rows = 0
         self._coef_cache: Optional[np.ndarray] = None
@@ -107,13 +109,6 @@ class OnlineCBMF:
     ) -> "OnlineCBMF":
         """The canonical constructor (mirrors ``FrozenModel.from_estimator``)."""
         return cls(model, basis=basis, metric=metric)
-
-    def _find_intercept(self) -> Optional[int]:
-        phi, _, _ = self._predictor.training_rows()
-        for column in range(phi.shape[1]):
-            if np.allclose(phi[:, column], 1.0):
-                return column
-        return None
 
     # -- dimensions -----------------------------------------------------
     @property

@@ -1,12 +1,6 @@
 """Shared low-level utilities: numerical linear algebra, validation, RNG."""
 
-from repro.utils.linalg import (
-    cholesky_solve,
-    log_det_psd,
-    nearest_psd,
-    solve_psd,
-    woodbury_inverse_apply,
-)
+from repro.utils.linalg import cholesky_solve
 from repro.utils.rng import as_generator, spawn_generators
 from repro.utils.validation import (
     check_matrix,
@@ -17,10 +11,6 @@ from repro.utils.validation import (
 
 __all__ = [
     "cholesky_solve",
-    "log_det_psd",
-    "nearest_psd",
-    "solve_psd",
-    "woodbury_inverse_apply",
     "as_generator",
     "spawn_generators",
     "check_matrix",

@@ -19,15 +19,10 @@ from repro.errors import NumericalError
 __all__ = [
     "cholesky_factor",
     "cholesky_solve",
-    "solve_psd",
-    "log_det_psd",
     "inv_psd",
     "inv_from_cholesky",
-    "nearest_psd",
     "nearest_psd_eigh",
     "is_psd",
-    "woodbury_inverse_apply",
-    "quadratic_form",
     "symmetrize",
 ]
 
@@ -74,11 +69,6 @@ def cholesky_solve(factor: np.ndarray, rhs: np.ndarray) -> np.ndarray:
     return sla.cho_solve((factor, True), rhs, check_finite=False)
 
 
-def solve_psd(matrix: np.ndarray, rhs: np.ndarray) -> np.ndarray:
-    """Solve ``A x = rhs`` for PSD ``A`` via Cholesky with jitter fallback."""
-    return cholesky_solve(cholesky_factor(matrix), rhs)
-
-
 def inv_psd(matrix: np.ndarray) -> np.ndarray:
     """Inverse of a PSD matrix via Cholesky."""
     factor = cholesky_factor(matrix)
@@ -105,12 +95,6 @@ def inv_from_cholesky(factor: np.ndarray) -> np.ndarray:
     return inverse
 
 
-def log_det_psd(matrix: np.ndarray) -> float:
-    """Log-determinant of a PSD matrix via Cholesky."""
-    factor = cholesky_factor(matrix)
-    return 2.0 * float(np.sum(np.log(np.diag(factor))))
-
-
 def is_psd(matrix: np.ndarray, *, tol: float = 1e-10) -> bool:
     """True when all eigenvalues of the symmetrized matrix are ≥ ``-tol``."""
     eigenvalues = np.linalg.eigvalsh(symmetrize(np.asarray(matrix, float)))
@@ -118,20 +102,13 @@ def is_psd(matrix: np.ndarray, *, tol: float = 1e-10) -> bool:
     return bool(eigenvalues.min() >= -tol * scale)
 
 
-def nearest_psd(matrix: np.ndarray, *, floor: float = 0.0) -> np.ndarray:
-    """Project a symmetric matrix onto the PSD cone by eigenvalue clipping.
-
-    ``floor`` optionally lower-bounds the eigenvalues (useful to keep the
-    learned correlation matrix ``R`` strictly positive definite during EM).
-    """
-    return nearest_psd_eigh(matrix, floor=floor)[0]
-
-
 def nearest_psd_eigh(
     matrix: np.ndarray, *, floor: float = 0.0
 ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """:func:`nearest_psd` plus the eigenpairs it was built from.
+    """Project a symmetric matrix onto the PSD cone by eigenvalue clipping.
 
+    ``floor`` lower-bounds the eigenvalues (EM keeps the learned
+    correlation matrix ``R`` strictly positive definite with it).
     Returns ``(projected, values, vectors)`` with ``projected`` ≈
     ``vectors·diag(values)·vectorsᵀ`` and ``values ≥ floor``, so a caller
     that needs the projection's eigendecomposition does not compute it
@@ -142,51 +119,3 @@ def nearest_psd_eigh(
     clipped = np.maximum(eigenvalues, floor)
     projected = symmetrize((eigenvectors * clipped) @ eigenvectors.T)
     return projected, clipped, eigenvectors
-
-
-def woodbury_inverse_apply(
-    noise_var: float,
-    design: np.ndarray,
-    prior_chol: np.ndarray,
-    rhs: np.ndarray,
-) -> np.ndarray:
-    """Apply ``(σ² I + D A Dᵀ)⁻¹`` to ``rhs`` without forming the n×n inverse.
-
-    ``design`` is the n×p matrix ``D`` and ``prior_chol`` the lower Cholesky
-    factor of the p×p prior covariance ``A``. Uses the Woodbury identity
-
-    ``(σ²I + DADᵀ)⁻¹ = σ⁻²I − σ⁻²DL (σ²I + LᵀDᵀDL)⁻¹ LᵀDᵀ σ⁻²``
-
-    with ``A = L Lᵀ``. Efficient when p < n; for p ≥ n the caller should form
-    the n×n matrix directly (the dual-space path used by the posterior).
-    """
-    if noise_var <= 0.0:
-        raise ValueError(f"noise_var must be > 0, got {noise_var}")
-    scaled = design @ prior_chol  # n × p
-    p = scaled.shape[1]
-    inner = noise_var * np.eye(p) + scaled.T @ scaled
-    correction = scaled @ solve_psd(inner, scaled.T @ rhs)
-    return (rhs - correction) / noise_var
-
-
-def quadratic_form(matrix: np.ndarray, vector: np.ndarray) -> float:
-    """``vᵀ A⁻¹ v`` for PSD ``A`` computed through a Cholesky solve."""
-    factor = cholesky_factor(matrix)
-    half = sla.solve_triangular(
-        factor, vector, lower=True, check_finite=False
-    )
-    return float(half @ half)
-
-
-def split_blocks(matrix: np.ndarray, block: int) -> Tuple[np.ndarray, ...]:
-    """Split a (q·block)×(q·block) matrix into its q diagonal blocks."""
-    size = matrix.shape[0]
-    if size % block != 0:
-        raise ValueError(
-            f"matrix size {size} is not a multiple of block size {block}"
-        )
-    count = size // block
-    return tuple(
-        matrix[i * block : (i + 1) * block, i * block : (i + 1) * block]
-        for i in range(count)
-    )

@@ -18,7 +18,6 @@ __all__ = [
     "check_square",
     "check_positive",
     "check_in_range",
-    "check_probability",
     "check_integer",
     "check_same_length",
 ]
@@ -115,11 +114,6 @@ def check_in_range(
         if not (low < scalar < high):
             raise ValueError(f"{name} must be in ({low}, {high}), got {scalar}")
     return scalar
-
-
-def check_probability(value, name: str) -> float:
-    """Validate a scalar probability in [0, 1]."""
-    return check_in_range(value, name, 0.0, 1.0)
 
 
 def check_integer(value, name: str, *, minimum: Optional[int] = None) -> int:

@@ -69,8 +69,8 @@ class TestUncorrelatedBMF:
         assert error(cbmf) < error(bmf)
 
     def test_preserves_custom_em_flags(self):
-        em = EmConfig(max_iterations=7, update_noise=False)
+        em = EmConfig(max_iterations=7, update_r=False)
         model = UncorrelatedBMF(em_config=em)
         assert model.em_config.max_iterations == 7
         assert model.em_config.diagonal_r is True
-        assert model.em_config.update_noise is False
+        assert model.em_config.update_r is False

@@ -4,13 +4,13 @@
 (shared ``MultiStateData``, trace identities, a covariance kept as
 ``C⁻¹``); ``compute_posterior_dense`` materializes the literal eq. 18-22
 matrices. They must agree to tight tolerance for *every* shape —
-including ragged per-state sample counts and the column-restricted
-solves the EM pruning path issues — and so must the M-step statistics
+including ragged per-state sample counts and random column subsets of
+the designs — and so must the M-step statistics
 the dual path reads from ``C⁻¹`` against the oracle's literal einsums.
 
 The same oracle also pins the second production fast path: the
 Kronecker solver for state-balanced designs (``method="kron"``), again
-on random shapes including pruned-column solves. Deeper Kronecker
+on random shapes including column subsets. Deeper Kronecker
 coverage (dispatch policy, M-step factors, memory contract) lives in
 ``tests/core/test_kronecker.py``.
 """
@@ -108,9 +108,8 @@ def test_fast_matches_dense_random_shapes(
 def test_fast_matches_dense_with_pruned_columns(
     seed, n_states, n_basis, noise_var
 ):
-    """The EM pruning path restricts a cached ``MultiStateData`` to an
-    active column subset; the restricted solve must equal a dense solve
-    on the explicitly-sliced designs."""
+    """A solve on a random column subset of the designs equals a dense
+    solve on the same subset."""
     counts = [5] * n_states
     designs, targets, prior = make_problem(
         seed, n_states, n_basis, counts, 0.7, noise_var
@@ -121,12 +120,11 @@ def test_fast_matches_dense_with_pruned_columns(
         rng.choice(n_basis, size=n_active, replace=False)
     )
 
-    data = MultiStateData.from_states(designs, targets)
     sub_prior = CorrelatedPrior(
         lambdas=prior.lambdas[active], correlation=prior.correlation
     )
     fast = compute_posterior(
-        data.restrict(active),
+        MultiStateData.from_states([d[:, active] for d in designs], targets),
         prior=sub_prior,
         noise_var=noise_var,
         want_blocks=True,
@@ -179,7 +177,7 @@ def test_dual_mstep_stats_match_dense(
     """The dual path's factored M-step statistics — ``Tr(R⁻¹Σ^m)`` and
     ``Σ_m Σ^m/ℓ_m`` read from C⁻¹ through full-width products — equal
     the literal einsums over the oracle's blocks, at K = 1, single-row
-    states, λ_m = 0 and on pruned-column solves."""
+    states, λ_m = 0 and on column subsets of the designs."""
     counts = [
         base_count + (k % 3 if ragged else 0) for k in range(n_states)
     ]
@@ -198,7 +196,7 @@ def test_dual_mstep_stats_match_dense(
         lambdas=lambdas[active], correlation=prior.correlation
     )
     fast = compute_posterior(
-        MultiStateData.from_states(designs, targets).restrict(active),
+        MultiStateData.from_states([d[:, active] for d in designs], targets),
         prior=sub_prior,
         noise_var=noise_var,
         method="dual",
@@ -270,9 +268,9 @@ def test_kron_matches_dense_random_balanced_shapes(
 def test_kron_matches_dense_with_pruned_columns(
     seed, n_states, n_basis, noise_var
 ):
-    """Pruned-column (``restrict``) solves keep balance, so the EM prune
-    path stays on the Kronecker solver — and must still match a dense
-    solve on the explicitly-sliced designs."""
+    """A column subset of balanced designs stays balanced, so it stays on
+    the Kronecker solver — and must still match a dense solve on the
+    same subset."""
     rng = np.random.default_rng(seed)
     design = rng.standard_normal((5, n_basis))
     designs = [design] * n_states
@@ -284,12 +282,11 @@ def test_kron_matches_dense_with_pruned_columns(
     n_active = int(rng.integers(1, n_basis + 1))
     active = np.sort(rng.choice(n_basis, size=n_active, replace=False))
 
-    data = MultiStateData.from_states(designs, targets)
     sub_prior = CorrelatedPrior(
         lambdas=prior.lambdas[active], correlation=prior.correlation
     )
     fast = compute_posterior(
-        data.restrict(active),
+        MultiStateData.from_states([d[:, active] for d in designs], targets),
         prior=sub_prior,
         noise_var=noise_var,
         want_blocks=True,
@@ -316,8 +313,8 @@ def test_kron_matches_dense_with_pruned_columns(
 
 
 def test_em_with_pruning_matches_dense_per_iteration():
-    """Drive ``run_em`` with an aggressive prune threshold and check every
-    posterior it computed against the dense oracle on the same subset."""
+    """Drive ``run_em`` and check every posterior it computed against the
+    dense oracle."""
     from repro.core import em as em_module
     from repro.core.em import EmConfig, run_em
 
@@ -366,10 +363,8 @@ def test_em_with_pruning_matches_dense_per_iteration():
 
     em_module.compute_posterior = checking
     try:
-        config = EmConfig(max_iterations=8, prune_threshold=1e-2)
-        run_em(designs, targets, prior, 0.01, config)
+        run_em(designs, targets, prior, 0.01, EmConfig(max_iterations=8))
     finally:
         em_module.compute_posterior = original
 
     assert checked, "EM never exercised the blocks path"
-    assert min(checked) < n_basis, "pruning never restricted the basis"

@@ -275,22 +275,16 @@ class TestAgainstDenseCovariance:
 class TestOnePosteriorPerFit:
     """``CBMF.fit`` builds its predictor from EM's final solve."""
 
-    @pytest.mark.parametrize("prune_threshold", [0.0, 1e-3])
-    def test_predictor_mean_is_the_model_prediction(self, prune_threshold):
+    def test_predictor_mean_is_the_model_prediction(self):
         """The predictor conditions on the posterior the coefficients
-        came from — also on a pruned fit, whose pruned bases it holds at
-        λ = 0."""
+        came from."""
         problem = make_synthetic(seed=0)
         designs, targets = problem.sample(15)
         model = CBMF(
             init_config=FAST_INIT,
-            em_config=EmConfig(
-                max_iterations=30, prune_threshold=prune_threshold
-            ),
+            em_config=EmConfig(max_iterations=30),
             seed=0,
         ).fit(designs, targets)
-        if prune_threshold:
-            assert min(model.report_.em.active_history) < problem.n_basis
         query, _ = problem.sample(20)
         for k in range(problem.n_states):
             expected = model.predict(query[k], k)

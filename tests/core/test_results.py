@@ -22,7 +22,6 @@ def make_report():
     )
     trace = EmTrace(
         nll_history=[10.0, 8.0, 7.5],
-        active_history=[5, 4, 4],
         noise_history=[0.02, 0.015, 0.012],
         converged=True,
         seconds=1.25,

@@ -126,7 +126,6 @@ class TestFitProfile:
 
         trace = EmTrace(
             nll_history=[-1.0, -2.0, -2.5],
-            active_history=[10, 10, 10],
             noise_history=[0.1, 0.05, 0.04],
             converged=True,
             seconds=0.8,

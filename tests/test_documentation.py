@@ -3,7 +3,7 @@
 Walks the installed package and asserts every public module, class,
 function and method carries a docstring — keeping deliverable (e) honest
 as the codebase grows — and that the python examples in the docs import
-only names that exist.
+only names that exist and pass only keywords their callees take.
 """
 
 import ast
@@ -121,5 +121,75 @@ def test_documented_imports_resolve():
         if not hasattr(importlib.import_module(module), name)
     ]
     assert not missing, "docs import missing names:\n  " + "\n  ".join(
+        missing
+    )
+
+
+def _resolve(node, names):
+    """The object a ``Name``/``Attribute`` callee refers to, or None."""
+    if isinstance(node, ast.Name):
+        return names.get(node.id)
+    if isinstance(node, ast.Attribute):
+        owner = _resolve(node.value, names)
+        return getattr(owner, node.attr, None)
+    return None
+
+
+def _imported_names(tree):
+    """``{local name: object}`` for the block's ``from repro… import``s;
+    a submodule (``from repro.circuits import twoport``) is imported."""
+    names = {}
+    for node in ast.walk(tree):
+        if not isinstance(node, ast.ImportFrom):
+            continue
+        if (node.module or "").split(".")[0] != "repro":
+            continue
+        module = importlib.import_module(node.module)
+        for alias in node.names:
+            value = getattr(module, alias.name, None)
+            if value is None:
+                value = importlib.import_module(f"{node.module}.{alias.name}")
+            names[alias.asname or alias.name] = value
+    return names
+
+
+def documented_keywords():
+    """``(doc, callee, keyword, parameters)`` for every keyword argument
+    in the python blocks of docs/api.md and README.md whose callee the
+    block imported from ``repro`` and which takes no ``**kwargs``."""
+    for doc in (ROOT / "docs" / "api.md", ROOT / "README.md"):
+        for block in PYTHON_BLOCK.findall(doc.read_text()):
+            tree = ast.parse(block)
+            names = _imported_names(tree)
+            for node in ast.walk(tree):
+                if not isinstance(node, ast.Call):
+                    continue
+                callee = _resolve(node.func, names)
+                if not callable(callee):
+                    continue
+                parameters = inspect.signature(callee).parameters
+                if any(
+                    p.kind is inspect.Parameter.VAR_KEYWORD
+                    for p in parameters.values()
+                ):
+                    continue
+                for keyword in node.keywords:
+                    if keyword.arg is not None:
+                        yield (
+                            doc.name, ast.unparse(node.func), keyword.arg,
+                            parameters,
+                        )
+
+
+def test_documented_keywords_exist():
+    """A doc example may not pass a keyword its callee does not take."""
+    keywords = list(documented_keywords())
+    assert keywords
+    missing = [
+        f"{doc}: {callee}({keyword}=...)"
+        for doc, callee, keyword, parameters in keywords
+        if keyword not in parameters
+    ]
+    assert not missing, "docs pass unknown keywords:\n  " + "\n  ".join(
         missing
     )

@@ -13,7 +13,7 @@ def random_psd(rng: np.random.Generator, size: int) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# cholesky / solves
+# cholesky / inverses
 # ---------------------------------------------------------------------------
 class TestCholesky:
     def test_factor_reconstructs_matrix(self):
@@ -116,33 +116,11 @@ class TestCholesky:
         mirrored[upper] = mirrored.T[upper]
         assert np.array_equal(linalg.inv_from_cholesky(factor), mirrored)
 
-    def test_solve_psd_matches_numpy(self):
-        rng = np.random.default_rng(2)
-        matrix = random_psd(rng, 6)
-        rhs = rng.standard_normal(6)
-        assert np.allclose(
-            linalg.solve_psd(matrix, rhs), np.linalg.solve(matrix, rhs)
-        )
-
-    def test_solve_psd_matrix_rhs(self):
-        rng = np.random.default_rng(3)
-        matrix = random_psd(rng, 5)
-        rhs = rng.standard_normal((5, 3))
-        assert np.allclose(
-            linalg.solve_psd(matrix, rhs), np.linalg.solve(matrix, rhs)
-        )
-
     def test_inv_psd(self):
         matrix = random_psd(np.random.default_rng(4), 5)
         assert np.allclose(
             linalg.inv_psd(matrix) @ matrix, np.eye(5), atol=1e-9
         )
-
-    def test_log_det_psd(self):
-        matrix = random_psd(np.random.default_rng(5), 6)
-        sign, expected = np.linalg.slogdet(matrix)
-        assert sign > 0
-        assert linalg.log_det_psd(matrix) == pytest.approx(expected)
 
 
 # ---------------------------------------------------------------------------
@@ -157,18 +135,19 @@ class TestPsd:
 
     def test_nearest_psd_identity_on_psd(self):
         matrix = random_psd(np.random.default_rng(7), 4)
-        assert np.allclose(linalg.nearest_psd(matrix), matrix, atol=1e-10)
+        projected = linalg.nearest_psd_eigh(matrix)[0]
+        assert np.allclose(projected, matrix, atol=1e-10)
 
     def test_nearest_psd_clips_negative_eigenvalues(self):
         matrix = np.diag([2.0, -1.0])
-        projected = linalg.nearest_psd(matrix)
+        projected = linalg.nearest_psd_eigh(matrix)[0]
         assert linalg.is_psd(projected)
         assert projected[0, 0] == pytest.approx(2.0)
         assert projected[1, 1] == pytest.approx(0.0)
 
     def test_nearest_psd_floor(self):
         matrix = np.diag([2.0, 1e-12])
-        projected = linalg.nearest_psd(matrix, floor=0.5)
+        projected = linalg.nearest_psd_eigh(matrix, floor=0.5)[0]
         assert np.linalg.eigvalsh(projected).min() >= 0.5 - 1e-12
 
     def test_symmetrize(self):
@@ -179,60 +158,16 @@ class TestPsd:
 
 
 # ---------------------------------------------------------------------------
-# woodbury / quadratic form
-# ---------------------------------------------------------------------------
-class TestWoodbury:
-    def test_matches_direct_inverse(self):
-        rng = np.random.default_rng(8)
-        n, p = 12, 4
-        design = rng.standard_normal((n, p))
-        prior = random_psd(rng, p)
-        prior_chol = np.linalg.cholesky(prior)
-        rhs = rng.standard_normal(n)
-        noise = 0.3
-        direct = np.linalg.solve(
-            noise * np.eye(n) + design @ prior @ design.T, rhs
-        )
-        via = linalg.woodbury_inverse_apply(noise, design, prior_chol, rhs)
-        assert np.allclose(via, direct, atol=1e-10)
-
-    def test_rejects_nonpositive_noise(self):
-        with pytest.raises(ValueError, match="noise_var"):
-            linalg.woodbury_inverse_apply(
-                0.0, np.eye(2), np.eye(2), np.ones(2)
-            )
-
-    def test_quadratic_form(self):
-        rng = np.random.default_rng(9)
-        matrix = random_psd(rng, 5)
-        vector = rng.standard_normal(5)
-        expected = vector @ np.linalg.solve(matrix, vector)
-        assert linalg.quadratic_form(matrix, vector) == pytest.approx(expected)
-
-
-class TestSplitBlocks:
-    def test_splits_diagonal_blocks(self):
-        matrix = np.arange(36.0).reshape(6, 6)
-        blocks = linalg.split_blocks(matrix, 2)
-        assert len(blocks) == 3
-        assert np.allclose(blocks[1], matrix[2:4, 2:4])
-
-    def test_rejects_mismatched_block(self):
-        with pytest.raises(ValueError, match="multiple"):
-            linalg.split_blocks(np.eye(5), 2)
-
-
-# ---------------------------------------------------------------------------
 # hypothesis properties
 # ---------------------------------------------------------------------------
 @settings(max_examples=25, deadline=None)
 @given(seed=st.integers(0, 10_000), size=st.integers(1, 8))
 def test_property_solve_roundtrip(seed, size):
-    """A x = b then x reconstructs b for random PSD A."""
+    """A x = b through the Cholesky factor reconstructs b for random PSD A."""
     rng = np.random.default_rng(seed)
     matrix = random_psd(rng, size) + 0.1 * np.eye(size)
     rhs = rng.standard_normal(size)
-    solution = linalg.solve_psd(matrix, rhs)
+    solution = linalg.cholesky_solve(linalg.cholesky_factor(matrix), rhs)
     assert np.allclose(matrix @ solution, rhs, atol=1e-8)
 
 
@@ -241,19 +176,7 @@ def test_property_solve_roundtrip(seed, size):
 def test_property_nearest_psd_is_psd_and_idempotent(seed, size):
     rng = np.random.default_rng(seed)
     matrix = rng.standard_normal((size, size))
-    projected = linalg.nearest_psd(matrix)
+    projected = linalg.nearest_psd_eigh(matrix)[0]
     assert linalg.is_psd(projected, tol=1e-8)
-    again = linalg.nearest_psd(projected)
+    again = linalg.nearest_psd_eigh(projected)[0]
     assert np.allclose(projected, again, atol=1e-8)
-
-
-@settings(max_examples=25, deadline=None)
-@given(seed=st.integers(0, 10_000))
-def test_property_logdet_additive_under_scaling(seed):
-    """log det(cA) = n log c + log det A."""
-    rng = np.random.default_rng(seed)
-    matrix = random_psd(rng, 4) + 0.5 * np.eye(4)
-    scale = 2.5
-    assert linalg.log_det_psd(scale * matrix) == pytest.approx(
-        4 * np.log(scale) + linalg.log_det_psd(matrix), rel=1e-9
-    )

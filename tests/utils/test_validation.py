@@ -96,11 +96,6 @@ class TestScalars:
         with pytest.raises(ValueError):
             validation.check_in_range(1.0, "x", 0.0, 1.0, inclusive=False)
 
-    def test_check_probability(self):
-        assert validation.check_probability(1.0, "p") == 1.0
-        with pytest.raises(ValueError):
-            validation.check_probability(1.5, "p")
-
     def test_check_integer(self):
         assert validation.check_integer(3, "n") == 3
 
